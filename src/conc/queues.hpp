@@ -19,6 +19,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -141,9 +142,10 @@ template <typename T>
 class MpmcRing {
  public:
   explicit MpmcRing(std::size_t capacity)
-      : capacity_(round_up_pow2(capacity)),
+      : capacity_(std::bit_ceil(capacity)),
         mask_(capacity_ - 1),
         slots_(capacity_) {
+    PARC_CHECK(capacity >= 2);
     for (std::size_t i = 0; i < capacity_; ++i) {
       slots_[i].sequence.store(i, std::memory_order_relaxed);
     }
@@ -241,13 +243,6 @@ class MpmcRing {
     std::optional<T> out(std::move(slot->value));
     slot->sequence.store(pos + mask_ + 1, std::memory_order_release);
     return out;
-  }
-
-  static std::size_t round_up_pow2(std::size_t n) {
-    PARC_CHECK(n >= 2);
-    std::size_t p = 1;
-    while (p < n) p <<= 1;
-    return p;
   }
 
   const std::size_t capacity_;

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -29,7 +30,9 @@ template <typename K, typename V, typename Hash = std::hash<K>>
 class StripedHashMap {
  public:
   explicit StripedHashMap(std::size_t stripes = 16)
-      : stripes_(round_up_pow2(stripes)), shards_(stripes_) {}
+      : stripes_(std::bit_ceil(stripes)), shards_(stripes_) {
+    PARC_CHECK(stripes >= 1);
+  }
 
   void put(const K& k, V v) {
     Shard& s = shard(k);
@@ -85,13 +88,6 @@ class StripedHashMap {
     std::unordered_map<K, V, Hash> map;  // guarded by mutex
   };
 
-  static std::size_t round_up_pow2(std::size_t n) {
-    PARC_CHECK(n >= 1);
-    std::size_t p = 1;
-    while (p < n) p <<= 1;
-    return p;
-  }
-
   Shard& shard(const K& k) {
     return shards_[Hash{}(k) & (stripes_ - 1)];
   }
@@ -135,7 +131,8 @@ class StripedLruCache {
   /// `capacity` is the total entry budget, split evenly (ceil) across
   /// stripes; each stripe holds at most ceil(capacity / stripes) entries.
   explicit StripedLruCache(std::size_t capacity, std::size_t stripes = 16)
-      : stripes_(round_up_pow2(stripes)), shards_(stripes_) {
+      : stripes_(std::bit_ceil(stripes)), shards_(stripes_) {
+    PARC_CHECK(stripes >= 1);
     PARC_CHECK(capacity >= 1);
     per_stripe_cap_ = (capacity + stripes_ - 1) / stripes_;
   }
@@ -265,13 +262,6 @@ class StripedLruCache {
     std::atomic<std::uint64_t> evictions{0};
     std::atomic<std::uint64_t> expired{0};
   };
-
-  static std::size_t round_up_pow2(std::size_t n) {
-    PARC_CHECK(n >= 1);
-    std::size_t p = 1;
-    while (p < n) p <<= 1;
-    return p;
-  }
 
   Shard& shard(const K& k) { return shards_[Hash{}(k) & (stripes_ - 1)]; }
   const Shard& shard(const K& k) const {

@@ -50,7 +50,9 @@
 // at quiescence, pushed == popped + dropped, exactly.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -74,7 +76,7 @@ enum class PopResult : std::uint8_t { ok, empty, closed };
 
 struct ChannelOptions {
   /// Ring capacity; rounded up to a power of two (per stripe for MPMC, so
-  /// the usable total is stripes * ceil_pow2(capacity / stripes)).
+  /// the usable total is stripes * bit_ceil(capacity / stripes)).
   std::size_t capacity = 256;
   /// MPMC subring count; ignored for SPSC. More stripes spread producer
   /// CAS traffic at the cost of weaker cross-stripe FIFO order.
@@ -113,12 +115,6 @@ inline std::uint64_t next_channel_id() noexcept {
   return serial.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-inline constexpr std::size_t ceil_pow2(std::size_t n) noexcept {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 /// Stable thread-affine stripe seed, so a given producer keeps hammering
 /// the same stripe until it fills.
 inline std::size_t stripe_hint() noexcept {
@@ -140,13 +136,13 @@ class Channel {
       : spsc_(opts.spsc), id_(detail::next_channel_id()) {
     PARC_CHECK(opts.capacity > 0);
     if (spsc_) {
-      const std::size_t cap = detail::ceil_pow2(opts.capacity);
+      const std::size_t cap = std::bit_ceil(opts.capacity);
       slots_.resize(cap);
       mask_ = cap - 1;
       capacity_ = cap;
     } else {
       const std::size_t n = opts.stripes == 0 ? 1 : opts.stripes;
-      const std::size_t per = detail::ceil_pow2((opts.capacity + n - 1) / n);
+      const std::size_t per = std::bit_ceil((opts.capacity + n - 1) / n);
       stripes_.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
         stripes_.push_back(std::make_unique<Stripe>(per));
@@ -459,7 +455,10 @@ class Channel {
         pushed_.fetch_add(1, std::memory_order_relaxed) + 1;
     const std::uint64_t gone = popped_.load(std::memory_order_relaxed) +
                                dropped_.load(std::memory_order_relaxed);
-    const std::uint64_t occ = in > gone ? in - gone : 0;
+    // popped_ is bumped after the ring pop, so consumers between the two
+    // can leave `in - gone` above what the ring holds.
+    const std::uint64_t occ = std::min<std::uint64_t>(
+        in > gone ? in - gone : 0, capacity_);
     std::uint64_t hw = high_water_.load(std::memory_order_relaxed);
     while (occ > hw && !high_water_.compare_exchange_weak(
                            hw, occ, std::memory_order_relaxed)) {

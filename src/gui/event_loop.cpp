@@ -3,7 +3,6 @@
 #include <queue>
 #include <utility>
 
-#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "sched/completion.hpp"
 #include "support/check.hpp"
@@ -101,11 +100,7 @@ void EventLoop::drain() {
 void EventLoop::shutdown() {
   stopping_.store(true, std::memory_order_release);
   queue_.close();  // idempotent; wakes the parked dispatch thread
-  if (thread_.joinable()) {
-    thread_.join();
-    obs::Counters::global().add("gui.edt.events",
-                                serviced_.load(std::memory_order_relaxed));
-  }
+  if (thread_.joinable()) thread_.join();
 }
 
 void EventLoop::run_event(std::function<void()>&& fn,

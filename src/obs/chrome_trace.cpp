@@ -6,9 +6,11 @@
 #include <cstdio>
 #include <istream>
 #include <iterator>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -22,6 +24,9 @@ struct KindInfo {
   const char* cat;
   bool with_id;      ///< append "#<id>" to the name
 };
+
+/// Name stem kind_info gives a value that is not an EventKind.
+constexpr const char* kUnknownKind = "unknown";
 
 KindInfo kind_info(EventKind kind) {
   switch (kind) {
@@ -83,7 +88,7 @@ KindInfo kind_info(EventKind kind) {
     case EventKind::kDeadlineShed:
       return {"i", "deadline-shed", "serve", true};
   }
-  return {"i", "unknown", "obs", false};
+  return {"i", kUnknownKind, "obs", false};
 }
 
 void append_escaped(std::string& out, const std::string& s) {
@@ -435,13 +440,16 @@ class JsonParser {
 };
 
 /// Reverse of kind_info: (ph, name-stem, cat) → EventKind, built once from
-/// the same table the writer uses so the two can never drift apart.
+/// the same table the writer uses so the two can never drift apart. Every
+/// value of the underlying type is tried; kind_info names the real kinds.
 const std::unordered_map<std::string, EventKind>& kind_by_triple() {
   static const auto* map = [] {
     auto* m = new std::unordered_map<std::string, EventKind>;
-    for (int k = 0; k <= static_cast<int>(EventKind::kChanClosed); ++k) {
+    using Raw = std::underlying_type_t<EventKind>;
+    for (int k = 0; k <= std::numeric_limits<Raw>::max(); ++k) {
       const auto kind = static_cast<EventKind>(k);
       const KindInfo info = kind_info(kind);
+      if (info.name == kUnknownKind) continue;
       m->emplace(std::string(info.ph) + '\x1f' + info.name + '\x1f' + info.cat,
                  kind);
     }

@@ -1,4 +1,4 @@
-// Umbrella header for parc::obs — tracing, counters, and trace analysis.
+// Umbrella header for parc::obs — tracing and trace analysis.
 //
 //   obs::TraceSession session;          // start recording (lock-free hooks
 //   ... run ptask / pj / pool work ...  //  in both runtimes light up)
@@ -15,6 +15,5 @@
 
 #include "obs/analysis.hpp"
 #include "obs/chrome_trace.hpp"
-#include "obs/counters.hpp"
 #include "obs/model.hpp"
 #include "obs/trace.hpp"

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <utility>
 
-#include "obs/counters.hpp"
 #include "support/check.hpp"
 
 namespace parc::obs {
@@ -160,8 +159,6 @@ TraceDump trace_end() {
     track.events.assign(buffer->slots.begin(), buffer->slots.begin() + n);
     dump.tracks.push_back(std::move(track));
   }
-  Counters::global().add("obs.trace.events", dump.total_events());
-  Counters::global().add("obs.trace.dropped", dump.total_dropped());
   return dump;
 }
 

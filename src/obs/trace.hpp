@@ -89,7 +89,7 @@ enum class EventKind : std::uint8_t {
   kServeCoalesce,   ///< id = request id, arg = leader request id — attached
                     ///< to an in-flight computation of the same key
   kServeBatch,      ///< id = batch sequence no., arg = batch size — a batch
-                    ///< left the batcher for submit_bulk
+                    ///< left the batcher for submit_n
   kServeExecBegin,  ///< id = request id, arg = shard — backend work started
   kServeExecEnd,    ///< id = request id — backend work finished
   kServeDone,       ///< id = request id, arg = latency ns — reply delivered

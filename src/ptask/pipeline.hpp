@@ -1,85 +1,61 @@
-// Parallel Task pipelines: a chain of stages connected by bounded channels,
-// all stages active simultaneously — element k can be in stage 3 while
-// element k+2 is in stage 1. Order is preserved end to end (each stage is
-// sequential), which is the semantics Parallel Task's pipeline construct
-// gives GUI applications streaming intermediate results.
+// Parallel Task pipelines: a chain of stages, all active simultaneously —
+// element k can be in stage 3 while element k+2 is in stage 1. Order is
+// preserved end to end (each stage is sequential), which is the semantics
+// Parallel Task's pipeline construct gives GUI applications streaming
+// intermediate results.
 //
 //   auto done = ptask::pipeline(rt, std::move(paths),
 //       [](std::string p){ return load(p); },
 //       [](Image i){ return scale(i); });
 //   std::vector<Thumb> thumbs = done.get();
 //
-// Stages are *interactive* tasks (the elastic pool), not compute tasks: a
-// stage spends its life blocked on its input channel, and parking a bounded
-// compute worker that way invites the nesting deadlock — a helping pop
-// can run the upstream stage on its own stack and then starve it. Long-
-// lived mostly-waiting work is precisely what Parallel Task routes to
-// interactive threads, so the pipeline does too; the compute pool stays
-// free for the work inside the stage bodies.
+// This is a thin front over flow::Pipeline: each ptask stage becomes one
+// flow::stage with its own dedicated thread, connected by SPSC channels of
+// capacity 256 that back-pressure a fast stage instead of buffering the
+// whole stream. One interactive task feeds the inputs and returns
+// Pipeline::wait(), which joins the stages and rethrows the first stage
+// exception into get() (flow's poison cascade stops the other stages).
 //
-// The inter-stage edges are SPSC flow::Channels (PR 8): close() is the
-// end-of-stream signal (no optional sentinel), and the bounded capacity
-// back-pressures a fast stage instead of buffering the whole stream.
-// For per-stage parallelism, fusion and error propagation, use
-// flow::Pipeline directly — this adapter keeps the ParallelTask-shaped API.
+// Every stage result is wrapped in std::optional before flow sees it, so a
+// ptask stage is always a map: a stage that itself returns std::optional<U>
+// emits that optional as a value, and a flush() member is never called.
+// For filters, per-stage parallelism or fusion, use flow::Pipeline directly.
 #pragma once
 
-#include <memory>
+#include <cstddef>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "flow/channel.hpp"
+#include "flow/pipeline.hpp"
 #include "ptask/spawn.hpp"
 
 namespace parc::ptask {
 
 namespace detail {
 
-/// Elements buffered per inter-stage edge before the producer stage blocks.
+/// Elements buffered per edge before the stage feeding it blocks.
 inline constexpr std::size_t kStageChannelCapacity = 256;
 
-/// Inter-stage edge. Exactly one producer and one consumer per edge (each
-/// stage is a single sequential task), so the SPSC fast path applies.
-template <typename T>
-using Flow = flow::Channel<T>;
-
-template <typename T>
-std::shared_ptr<Flow<T>> make_flow() {
-  return std::make_shared<Flow<T>>(flow::ChannelOptions{
-      .capacity = kStageChannelCapacity, .spsc = true});
+/// No stages left: collect the last edge into a vector.
+template <typename In, typename Builder>
+auto add_stages(Builder b) {
+  return std::move(b).collect();
 }
 
-/// Terminal: collect the final stream into a vector.
-template <typename In>
-TaskID<std::vector<In>> connect(Runtime& rt, std::shared_ptr<Flow<In>> in) {
-  return run_interactive(rt, [in] {
-    std::vector<In> out;
-    In token;
-    while (in->pop(token)) out.push_back(std::move(token));
-    return out;
-  });
-}
-
-/// One transforming stage, then recurse on the rest of the chain.
-template <typename In, typename F, typename... Rest>
-auto connect(Runtime& rt, std::shared_ptr<Flow<In>> in, F f, Rest... rest) {
-  using Out = std::invoke_result_t<F, In>;
+/// Append `f` as one materialized flow stage, then the rest of the chain.
+template <typename In, typename Builder, typename F, typename... Rest>
+auto add_stages(Builder b, F f, Rest... rest) {
+  using Out = std::invoke_result_t<F&, In>;
   static_assert(!std::is_void_v<Out>,
                 "pipeline stages must return a value; put side effects in "
                 "the sink stage's result");
-  static_assert(std::is_default_constructible_v<Out>,
-                "pipeline stage results cross a flow::Channel, whose ring "
-                "slots are default-constructed");
-  auto out = make_flow<Out>();
-  run_interactive(rt, [in, out, f = std::move(f)] {
-    In token;
-    while (in->pop(token)) {
-      if (!out->push(f(std::move(token)))) break;  // downstream poisoned
-    }
-    out->close();  // propagate end-of-stream
-  });
-  return connect(rt, out, std::move(rest)...);
+  auto next = std::move(b).then(flow::stage(
+      [f = std::move(f)](In x) mutable {
+        return std::optional<Out>(f(std::move(x)));
+      }));
+  return add_stages<Out>(std::move(next), std::move(rest)...);
 }
 
 }  // namespace detail
@@ -88,15 +64,16 @@ auto connect(Runtime& rt, std::shared_ptr<Flow<In>> in, F f, Rest... rest) {
 /// the ordered vector of final-stage outputs.
 template <typename In, typename... Stages>
 auto pipeline(Runtime& rt, std::vector<In> inputs, Stages... stages) {
-  auto source = detail::make_flow<In>();
-  auto result = detail::connect(rt, source, std::move(stages)...);
-  run_interactive(rt, [source, inputs = std::move(inputs)]() mutable {
+  auto p = detail::add_stages<In>(
+      flow::pipeline<In>({.capacity = detail::kStageChannelCapacity,
+                          .single_producer = true}),
+      std::move(stages)...);
+  return run_interactive(rt, [p, inputs = std::move(inputs)]() mutable {
     for (auto& x : inputs) {
-      if (!source->push(std::move(x))) break;  // downstream poisoned
+      if (!p.push(std::move(x))) break;  // a stage failed; wait() rethrows
     }
-    source->close();
+    return p.wait();
   });
-  return result;
 }
 
 template <typename In, typename... Stages>

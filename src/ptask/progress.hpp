@@ -54,15 +54,9 @@ class ProgressChannel {
     }
   }
 
-  /// Number of batches delivered so far (handler invocations).
-  [[nodiscard]] std::size_t pending() const {
-    std::scoped_lock lock(state_->mutex);
-    return state_->buffer.size();
-  }
-
  private:
   struct State {
-    mutable std::mutex mutex;
+    std::mutex mutex;
     std::vector<P> buffer;        // guarded by mutex
     bool drain_scheduled = false; // guarded by mutex
     Handler handler;              // set once at construction

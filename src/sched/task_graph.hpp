@@ -8,9 +8,7 @@
 //  - Barrier: sense-reversing cyclic barrier whose arrivals either help the
 //    pool or atomic::wait-park — never block a pooled worker on a cv — so a
 //    team larger than the worker count still makes progress (pj::Barrier,
-//    conc::TaskSafeBarrier);
-//  - TaskLatch: the historical sched join latch, now a thin JoinLatch
-//    wrapper (kept for source compatibility with pool-level callers).
+//    conc::TaskSafeBarrier).
 //
 // Waiter taxonomy (the contract every wait() below follows): a thread that
 // is allowed to run pool jobs — a pool worker, or an external caller that
@@ -190,24 +188,6 @@ class Barrier {
   WorkStealingPool* const help_pool_;
   alignas(kCacheLineSize) std::atomic<std::size_t> arrived_{0};
   alignas(kCacheLineSize) std::atomic<std::uint32_t> generation_{0};
-};
-
-/// A count-up/count-down completion latch that waits by helping the pool.
-/// Used by runtimes to implement join points (taskgroup / parallel-for end).
-/// Now a thin wrapper over JoinLatch; kept for source compatibility.
-class TaskLatch {
- public:
-  explicit TaskLatch(WorkStealingPool& pool) : pool_(pool) {}
-
-  void add(std::size_t n = 1) noexcept { join_.add(n); }
-  void done() noexcept { join_.done(); }
-  [[nodiscard]] bool idle() const noexcept { return join_.idle(); }
-  /// Blocks (cooperatively) until the count returns to zero.
-  void wait() { join_.wait(&pool_); }
-
- private:
-  WorkStealingPool& pool_;
-  JoinLatch join_;
 };
 
 }  // namespace parc::sched

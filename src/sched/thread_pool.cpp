@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "obs/counters.hpp"
 #include "sched/completion.hpp"
 #include "support/check.hpp"
 
@@ -154,24 +153,6 @@ WorkStealingPool::~WorkStealingPool() {
   }
   // Cells are owned by slabs_ (freed with the vector) or were individually
   // heap-allocated and deleted after their run; nothing else to reclaim.
-  const Stats s = stats();
-  auto& counters = obs::Counters::global();
-  counters.add("sched.pool.executed", s.executed);
-  counters.add("sched.pool.stolen", s.stolen);
-  counters.add("sched.pool.parked", s.parked);
-  counters.add("sched.pool.helped", s.helped);
-  counters.add("sched.pool.steal_fails", s.steal_fails);
-  counters.add("sched.pool.cont_local_pushed", s.continuation_local_pushed);
-  counters.add("sched.pool.cont_inject_fallback",
-               s.continuation_inject_fallback);
-  counters.add("sched.pool.deque_overflows", s.deque_overflows);
-  counters.add("sched.pool.exclusive_submitted", s.exclusive_submitted);
-  counters.add("sched.pool.reservations_granted", s.reservations_granted);
-  counters.add("sched.pool.reservations_denied", s.reservations_denied);
-  counters.add("sched.pool.stolen_shard_local", s.stolen_shard_local);
-  counters.add("sched.pool.stolen_cross_shard", s.stolen_cross_shard);
-  counters.add("sched.pool.cross_shard_probes", s.cross_shard_probes);
-  counters.add("sched.pool.cross_shard_wakes", s.cross_shard_wakes);
 }
 
 bool WorkStealingPool::try_reserve_capacity(std::size_t n) noexcept {

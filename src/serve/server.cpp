@@ -1,22 +1,15 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <span>
+#include <bit>
 #include <utility>
 
-#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "support/check.hpp"
 
 namespace parc::serve {
 
 namespace {
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 std::uint64_t mix(std::uint64_t x) noexcept {
   // splitmix64 finaliser: decorrelates the shard choice from the cache /
@@ -37,26 +30,18 @@ Server::Server(ServerConfig cfg)
       backend_(cfg_.backend),
       admission_(cfg_.admission),
       router_(cfg_.router),
-      cache_(cfg_.cache_capacity, cfg_.cache_stripes),
-      ctr_admitted_(obs::Counters::global().get("serve.admitted")),
-      ctr_shed_(obs::Counters::global().get("serve.shed")),
-      ctr_completed_(obs::Counters::global().get("serve.completed")) {
+      cache_(cfg_.cache_capacity, cfg_.cache_stripes) {
   PARC_CHECK(cfg_.batch_max >= 1);
   PARC_CHECK(cfg_.cache_ttl_s >= 0.0);
   PARC_CHECK(cfg_.negative_ttl_s >= 0.0);
   router_.set_fault_plan(cfg_.fault_plan);
-  const std::size_t stripes = round_up_pow2(std::max<std::size_t>(
-      1, cfg_.cache_stripes));
+  const std::size_t stripes = std::bit_ceil(cfg_.cache_stripes);
   coalesce_.reserve(stripes);
   for (std::size_t i = 0; i < stripes; ++i) {
     coalesce_.push_back(std::make_unique<CoalesceStripe>());
   }
-  ingress_.reserve(pool_->shard_count());
-  for (std::size_t s = 0; s < pool_->shard_count(); ++s) {
-    ingress_.push_back(std::make_unique<flow::Channel<ExecItem>>(
-        flow::ChannelOptions{.capacity = cfg_.batch_max, .spsc = true}));
-  }
-  seal_scratch_.reserve(cfg_.batch_max);
+  open_batches_.resize(pool_->shard_count());
+  for (auto& batch : open_batches_) batch.reserve(cfg_.batch_max);
 }
 
 Server::~Server() { drain(); }
@@ -74,7 +59,6 @@ Server::Outcome Server::offer(const Request& req) {
       admission_.admit(req.arrival_s, req.priority, req.deadline_s,
                        in_flight_.load(std::memory_order_relaxed));
   if (decision != AdmissionController::Decision::admit) {
-    ctr_shed_.fetch_add(1, std::memory_order_relaxed);
     if (obs::tracing()) [[unlikely]] {
       if (decision == AdmissionController::Decision::shed_deadline) {
         obs::emit(obs::EventKind::kDeadlineShed, req.id,
@@ -87,7 +71,6 @@ Server::Outcome Server::offer(const Request& req) {
     }
     return Outcome::shed;
   }
-  ctr_admitted_.fetch_add(1, std::memory_order_relaxed);
   in_flight_.fetch_add(1, std::memory_order_release);
 
   const std::uint64_t ckey = composite_key(req.kind, req.key);
@@ -130,44 +113,30 @@ Server::Outcome Server::offer(const Request& req) {
   const Router::Route rt = router_.route(req.id, req.arrival_s);
 
   const std::size_t shard = shard_of(ckey);
-  flow::Channel<ExecItem>& chan = *ingress_[shard];
-  ExecItem item{ckey,        req.kind,
-                req.key,     req.id,
-                req.arrival_s, shard,
-                rt.replica,  rt.verdict.slow_factor,
-                rt.verdict.fail, req.priority};
-  if (chan.try_push(item) != flow::PushResult::ok) {
-    // Capacity rounds up past batch_max, so this only fires if a seal was
-    // somehow missed; never block the ingress — hand off and retry.
-    seal_batch(shard);
-    PARC_CHECK(chan.try_push(item) == flow::PushResult::ok);
-  }
-  if (chan.occupancy() >= cfg_.batch_max) seal_batch(shard);
+  std::vector<ExecItem>& batch = open_batches_[shard];
+  batch.push_back(ExecItem{ckey, req.kind, req.key, req.id, req.arrival_s,
+                           shard, rt.replica, rt.verdict.slow_factor,
+                           rt.verdict.fail, req.priority});
+  if (batch.size() >= cfg_.batch_max) seal_batch(shard);
   return Outcome::dispatched;
 }
 
 void Server::seal_batch(std::size_t shard) {
-  flow::Channel<ExecItem>& chan = *ingress_[shard];
-  seal_scratch_.clear();
-  ExecItem item;
-  while (chan.try_pop(item) == flow::PopResult::ok) {
-    seal_scratch_.push_back(item);
-  }
-  if (seal_scratch_.empty()) return;
+  std::vector<ExecItem>& batch = open_batches_[shard];
+  if (batch.empty()) return;
   ++batches_sealed_;
   if (obs::tracing()) [[unlikely]] {
-    obs::emit(obs::EventKind::kServeBatch, batches_sealed_,
-              seal_scratch_.size());
+    obs::emit(obs::EventKind::kServeBatch, batches_sealed_, batch.size());
   }
   // One closure per request, one wakeup for the whole batch, routed to the
   // key's locality domain (remote: the ingress is not a pool worker).
-  auto make_job = [this](ExecItem item) {
-    return [this, item] { execute_item(item); };
-  };
-  std::vector<decltype(make_job(ExecItem{}))> jobs;
-  jobs.reserve(seal_scratch_.size());
-  for (const ExecItem& it : seal_scratch_) jobs.push_back(make_job(it));
-  pool_->submit_bulk(std::span(jobs), sched::SubmitHint::remote, shard);
+  pool_->submit_n(
+      batch.size(),
+      [this, &batch](std::size_t i) {
+        return [this, item = batch[i]] { execute_item(item); };
+      },
+      sched::SubmitHint::remote, shard);
+  batch.clear();
 }
 
 void Server::execute_item(const ExecItem& item) {
@@ -237,7 +206,6 @@ void Server::complete_one(std::uint64_t id, double arrival_s,
     obs::emit(obs::EventKind::kServeDone, id,
               static_cast<std::uint64_t>(latency_s * 1e9));
   }
-  ctr_completed_.fetch_add(1, std::memory_order_relaxed);
   if (ok) {
     completed_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -247,14 +215,7 @@ void Server::complete_one(std::uint64_t id, double arrival_s,
 }
 
 void Server::flush() {
-  for (std::size_t s = 0; s < ingress_.size(); ++s) seal_batch(s);
-}
-
-std::vector<flow::ChannelStats> Server::ingress_stats() const {
-  std::vector<flow::ChannelStats> out;
-  out.reserve(ingress_.size());
-  for (const auto& chan : ingress_) out.push_back(chan->stats());
-  return out;
+  for (std::size_t s = 0; s < open_batches_.size(); ++s) seal_batch(s);
 }
 
 void Server::drain() {

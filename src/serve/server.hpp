@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "conc/striped_map.hpp"
-#include "flow/channel.hpp"
 #include "sched/thread_pool.hpp"
 #include "serve/admission.hpp"
 #include "serve/backend.hpp"
@@ -144,7 +143,7 @@ class Server {
     std::uint64_t negative_hits = 0;  ///< cached failures: fail-fast replies
     std::uint64_t coalesced = 0;      ///< merged into an in-flight key
     std::uint64_t executed = 0;       ///< executions (batch leaders)
-    std::uint64_t batches = 0;        ///< submit_bulk calls
+    std::uint64_t batches = 0;        ///< submit_n calls
     std::uint64_t completed = 0;      ///< successful replies delivered
     std::uint64_t failed = 0;         ///< failed replies delivered
     std::size_t in_flight = 0;
@@ -178,11 +177,6 @@ class Server {
 
   /// The pool shard the composite key routes to (exposed for tests).
   [[nodiscard]] std::size_t shard_of(std::uint64_t ckey) const noexcept;
-
-  /// Per-shard ingress channel counters (pushed/popped/high-water). The
-  /// ingress batcher is a flow::Channel per shard, so batch occupancy is
-  /// observable the same way as any pipeline stage.
-  [[nodiscard]] std::vector<flow::ChannelStats> ingress_stats() const;
 
  private:
   struct ExecItem {
@@ -236,13 +230,9 @@ class Server {
   Router router_;
   conc::StripedLruCache<std::uint64_t, BackendResult> cache_;
   std::vector<std::unique_ptr<CoalesceStripe>> coalesce_;
-  // Ingress→batch hand-off: one bounded SPSC channel per pool shard (the
-  // single ingress thread is both producer and consumer — the channel is
-  // the batch accumulator, so occupancy/high-water are first-class stats
-  // and every enqueue shows up as a kChanPush in traces). seal_batch()
-  // drains a shard's channel into seal_scratch_ and submits one bulk job.
-  std::vector<std::unique_ptr<flow::Channel<ExecItem>>> ingress_;
-  std::vector<ExecItem> seal_scratch_;  ///< ingress thread only
+  // One open batch per pool shard, ingress thread only: offer() appends,
+  // seal_batch() submits the whole vector as one submit_n and clears it.
+  std::vector<std::vector<ExecItem>> open_batches_;
   std::array<LatencySlot, kLatSlots> latency_;
   Stopwatch clock_;
 
@@ -254,12 +244,6 @@ class Server {
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::uint64_t batches_sealed_ = 0;  ///< ingress thread only
-
-  // Process-wide obs counters (resolved once; hot-path add is one relaxed
-  // fetch_add on a stable atomic).
-  std::atomic<std::uint64_t>& ctr_admitted_;
-  std::atomic<std::uint64_t>& ctr_shed_;
-  std::atomic<std::uint64_t>& ctr_completed_;
 };
 
 }  // namespace parc::serve

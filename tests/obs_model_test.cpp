@@ -303,6 +303,17 @@ TEST(ObsProgramModel, DegenerateGraphsFitWithoutNaN) {
 // Chrome trace round-trip: write → read → same recorded graph.
 // ---------------------------------------------------------------------------
 
+void expect_same_events(const std::vector<Event>& want,
+                        const std::vector<Event>& got) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].kind, got[i].kind) << "event " << i;
+    EXPECT_EQ(want[i].t_ns, got[i].t_ns) << "event " << i;
+    EXPECT_EQ(want[i].id, got[i].id) << "event " << i;
+    EXPECT_EQ(want[i].arg, got[i].arg) << "event " << i;
+  }
+}
+
 TEST(ObsTraceRoundTrip, SyntheticDumpSurvivesWriteRead) {
   TraceDump dump;
   ThreadTrack track;
@@ -331,21 +342,28 @@ TEST(ObsTraceRoundTrip, SyntheticDumpSurvivesWriteRead) {
 
   ASSERT_EQ(parsed.tracks.size(), 1u);
   EXPECT_EQ(parsed.tracks[0].name, "worker-7");
-  ASSERT_EQ(parsed.tracks[0].events.size(), track.events.size());
-  for (std::size_t i = 0; i < track.events.size(); ++i) {
-    const Event& a = track.events[i];
-    const Event& b = parsed.tracks[0].events[i];
-    EXPECT_EQ(a.kind, b.kind) << "event " << i;
-    EXPECT_EQ(a.t_ns, b.t_ns) << "event " << i;
-    EXPECT_EQ(a.id, b.id) << "event " << i;
-    EXPECT_EQ(a.arg, b.arg) << "event " << i;
-  }
+  expect_same_events(track.events, parsed.tracks[0].events);
 
   // And the graphs extracted from both dumps agree.
   const RecordedGraph g1 = extract_task_graph(dump);
   const RecordedGraph g2 = extract_task_graph(parsed);
   EXPECT_EQ(g1.task_count(), g2.task_count());
   EXPECT_EQ(g1.edge_count(), g2.edge_count());
+
+  // One event of every kind reads back too. kDeadlineShed is the last
+  // enumerator; the value past it names no kind, so the reader drops it.
+  track.events.clear();
+  for (int k = 0; k <= static_cast<int>(EventKind::kDeadlineShed) + 1; ++k) {
+    const auto u = static_cast<std::uint64_t>(k);
+    push(static_cast<EventKind>(k), 1000 * u + 7, 100 + u, u);
+  }
+  dump.tracks = {track};
+  std::stringstream all;
+  write_chrome_trace(dump, all);
+  const TraceDump back = read_chrome_trace(all);
+  track.events.pop_back();  // the nameless value
+  ASSERT_EQ(back.tracks.size(), 1u);
+  expect_same_events(track.events, back.tracks[0].events);
 }
 
 TEST(ObsTraceRoundTrip, MalformedInputThrows) {

@@ -1,7 +1,7 @@
 // parc::obs core: session semantics, per-thread lock-free buffers, drop
-// accounting, the counters registry, and Chrome trace-event export — the
-// exported JSON is validated against the trace-event schema with a small
-// recursive-descent parser (no external JSON dependency).
+// accounting, and Chrome trace-event export — the exported JSON is
+// validated against the trace-event schema with a small recursive-descent
+// parser (no external JSON dependency).
 #include "obs/obs.hpp"
 
 #include <gtest/gtest.h>
@@ -284,45 +284,6 @@ TEST(ObsTrace, FullBufferDropsAndCounts) {
   const TraceDump dump = session.end();
   EXPECT_EQ(dump.total_events(), 8u);
   EXPECT_EQ(dump.total_dropped(), 12u);
-}
-
-// ---------------------------------------------------------------------------
-// Counters registry.
-// ---------------------------------------------------------------------------
-
-TEST(ObsCounters, AddValueSnapshotRoundTrip) {
-  auto& counters = Counters::global();
-  counters.reset();
-  counters.add("test.alpha", 3);
-  counters.add("test.alpha", 4);
-  counters.add("test.beta", 1);
-  EXPECT_EQ(counters.value("test.alpha"), 7u);
-  EXPECT_EQ(counters.value("test.beta"), 1u);
-  EXPECT_EQ(counters.value("test.never-touched"), 0u);
-  const auto snapshot = counters.snapshot();
-  ASSERT_GE(snapshot.size(), 2u);
-  // Snapshot is name-sorted.
-  for (std::size_t i = 1; i < snapshot.size(); ++i) {
-    EXPECT_LT(snapshot[i - 1].first, snapshot[i].first);
-  }
-  counters.reset();
-  EXPECT_EQ(counters.value("test.alpha"), 0u);
-}
-
-TEST(ObsCounters, ConcurrentAddsAreLossless) {
-  auto& counters = Counters::global();
-  counters.reset();
-  constexpr int kThreads = 8;
-  constexpr int kAdds = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([] {
-      for (int i = 0; i < kAdds; ++i) Counters::global().add("test.race", 1);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(counters.value("test.race"),
-            static_cast<std::uint64_t>(kThreads) * kAdds);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 // Pipelines and progress channels: ordering, type transforms, overlap,
-// end-of-stream propagation, EDT batch delivery.
+// end-of-stream propagation, stage failure, EDT batch delivery.
 #include "ptask/ptask.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "gui/event_loop.hpp"
@@ -89,6 +91,40 @@ TEST(Pipeline, MoveOnlyFriendlyPayloads) {
   auto t = pipeline(test_runtime(), inputs,
                     [](std::string s) { return s.size(); });
   EXPECT_EQ(t.get(), (std::vector<std::size_t>{1, 2, 3}));
+}
+
+TEST(Pipeline, ThrowingStageRethrowsFromGet) {
+  // The first stage fails mid-stream, with more input left than the edges
+  // hold: the failure must stop the feeder and the later stage, and reach
+  // get() instead of hanging it.
+  std::vector<int> inputs;
+  for (int i = 0; i < 2000; ++i) inputs.push_back(i);
+  auto t = pipeline(
+      test_runtime(), inputs,
+      [](int x) {
+        if (x == 700) throw std::runtime_error("stage failed");
+        return x;
+      },
+      [](int x) { return x + 1; });
+  EXPECT_THROW((void)t.get(), std::runtime_error);
+}
+
+/// Returns std::optional and has a flush() member, the two shapes flow
+/// reads as a filter or a stateful stage.
+struct EvensOrNothing {
+  std::optional<int> operator()(int x) const {
+    return x % 2 == 0 ? std::optional<int>(x) : std::nullopt;
+  }
+  std::optional<int> flush() const { return -1; }
+};
+
+TEST(Pipeline, OptionalResultIsEmittedAsAValue) {
+  // A ptask stage is always a map: nullopt is an element, not a drop, and
+  // the flush() member is never called.
+  auto t = pipeline(test_runtime(), std::vector<int>{1, 2, 3, 4},
+                    EvensOrNothing{});
+  EXPECT_EQ(t.get(), (std::vector<std::optional<int>>{std::nullopt, 2,
+                                                       std::nullopt, 4}));
 }
 
 TEST(ProgressChannel, DeliversEverythingInBatches) {

@@ -135,23 +135,6 @@ TEST(WorkStealingPool, ParkAndWakeCycleSurvives) {
   }
 }
 
-TEST(TaskLatch, WaitsForAllCompletions) {
-  WorkStealingPool pool(WorkStealingPool::Config{2, 4, "t"});
-  TaskLatch latch(pool);
-  std::atomic<int> done{0};
-  constexpr int kJobs = 100;
-  latch.add(kJobs);
-  for (int i = 0; i < kJobs; ++i) {
-    pool.submit([&] {
-      done.fetch_add(1);
-      latch.done();
-    });
-  }
-  latch.wait();
-  EXPECT_EQ(done.load(), kJobs);
-  EXPECT_TRUE(latch.idle());
-}
-
 TEST(DefaultConcurrency, AtLeastTwo) {
   EXPECT_GE(default_concurrency(), 2u);
 }

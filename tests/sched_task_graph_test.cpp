@@ -204,22 +204,6 @@ TEST(Barrier, PlainThreadsParkAndCycle) {
   EXPECT_EQ(checksum.load(), static_cast<int>(kParties) * kCycles);
 }
 
-TEST(TaskLatch, WrapperStillWaitsByHelping) {
-  WorkStealingPool pool({2, 4, "tl-wrap"});
-  TaskLatch latch(pool);
-  std::atomic<int> ran{0};
-  latch.add(8);
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&] {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      latch.done();
-    });
-  }
-  latch.wait();
-  EXPECT_EQ(ran.load(), 8);
-  EXPECT_TRUE(latch.idle());
-}
-
 // Deep dependsOn chain through the rebased ptask graph: each link fires the
 // next through the completion core's dependent notification; 10k links
 // would blow the stack if dependence firing ever recursed inline.

@@ -256,6 +256,32 @@ TEST(Server, QueueBoundShedsWhileBatchesAreUnsealed) {
   EXPECT_EQ(s.completed, 2u);
 }
 
+TEST(Server, BatchSealsAtExactlyBatchMax) {
+  ServerConfig cfg = small_server();
+  cfg.pool.shards = 1;
+  cfg.batch_max = 8;
+  Server server(cfg);
+  obs::TraceSession session(obs::TraceConfig{std::size_t{1} << 12});
+  server.start();
+  for (std::uint64_t i = 1; i <= 43; ++i) {
+    Request r;
+    r.id = i;
+    r.kind = RequestKind::text;
+    r.key = i;  // unique keys: every offer dispatches a new leader
+    ASSERT_EQ(server.offer(r), Server::Outcome::dispatched);
+  }
+  EXPECT_EQ(server.stats().batches, 5u);  // 5 full batches, 3 still open
+  server.drain();
+  const auto dump = session.end();
+  const auto s = server.stats();
+  EXPECT_EQ(s.batches, 6u);  // drain() sealed the partial batch
+  EXPECT_EQ(s.executed, 43u);
+  EXPECT_EQ(s.completed, 43u);
+  // Batching hands off through a plain vector, not a channel.
+  EXPECT_EQ(dump.count_kind(obs::EventKind::kChanPush), 0u);
+  EXPECT_EQ(dump.count_kind(obs::EventKind::kChanPop), 0u);
+}
+
 TEST(Server, ShardRoutingIsStableAndInRange) {
   Server server(small_server());
   const std::size_t shards = server.pool().shard_count();
