@@ -18,17 +18,27 @@
 //      through a parallel search stage whose results land on a bounded
 //      gui::EventLoop (the "matches appear while the search runs" UX);
 //      ground-truth match counts and EventLoop queue conservation asserted.
+//   4. A two-thread channel micro — 2M ints from one thread to another
+//      through capacity 1024, in ns per element: a bare Lamport ring (the
+//      floor), the SPSC Channel, and the SPSC Channel while 8 bystander
+//      threads sit parked on other, empty channels (parked threads share
+//      the stdlib's futex waiter table with the channel's epoch words).
+//      Only exact counts are gated: pushed == popped == N and the sum.
 //
 // --json: CI smoke mode. Same phases, same assertion gates (the pipesort
 // still moves the full million elements — that *is* the acceptance bar),
 // writes BENCH_flow.json.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -37,6 +47,7 @@
 #include "gui/gui.hpp"
 #include "obs/obs.hpp"
 #include "sim/machine.hpp"
+#include "support/backoff.hpp"
 #include "support/check.hpp"
 #include "support/clock.hpp"
 #include "support/table.hpp"
@@ -333,6 +344,135 @@ void run_live_search(bench::JsonReport& report, bool json_only) {
              elapsed * 1e9 / static_cast<double>(total_bytes));
 }
 
+// ---------------------------------------------------------------------------
+// Phase 4: two-thread channel micro.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kMicroN = 2'000'000;
+constexpr std::size_t kMicroCapacity = 1024;
+constexpr std::size_t kBystanders = 8;
+
+/// The reference floor: a Lamport ring with cached indices and nothing
+/// else — no counters, no park/wake (a blocked side spins, then yields).
+class LamportRing {
+ public:
+  explicit LamportRing(std::size_t capacity)
+      : slots_(capacity), mask_(capacity - 1) {}
+
+  bool try_push(int v) {
+    const std::size_t t = tail_.load(std::memory_order_relaxed);
+    if (t - head_cache_ > mask_) {
+      head_cache_ = head_.load(std::memory_order_acquire);
+      if (t - head_cache_ > mask_) return false;
+    }
+    slots_[t & mask_] = v;
+    tail_.store(t + 1, std::memory_order_release);
+    return true;
+  }
+
+  bool try_pop(int& v) {
+    const std::size_t h = head_.load(std::memory_order_relaxed);
+    if (h == tail_cache_) {
+      tail_cache_ = tail_.load(std::memory_order_acquire);
+      if (h == tail_cache_) return false;
+    }
+    v = slots_[h & mask_];
+    head_.store(h + 1, std::memory_order_release);
+    return true;
+  }
+
+ private:
+  std::vector<int> slots_;
+  std::size_t mask_;
+  alignas(kCacheLineSize) std::atomic<std::size_t> tail_{0};
+  std::size_t head_cache_ = 0;
+  alignas(kCacheLineSize) std::atomic<std::size_t> head_{0};
+  std::size_t tail_cache_ = 0;
+};
+
+/// Pass 1..kMicroN from a producer thread to this one; returns ns per
+/// element and gates the sum.
+template <typename Push, typename Pop>
+double two_thread_ns_per_elem(Push push, Pop pop) {
+  Stopwatch sw;
+  std::thread producer([&] {
+    for (std::size_t i = 1; i <= kMicroN; ++i) push(static_cast<int>(i));
+  });
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < kMicroN; ++i) {
+    int v = 0;
+    pop(v);
+    sum += static_cast<std::uint64_t>(v);
+  }
+  producer.join();
+  const double ns = sw.elapsed_ns() / static_cast<double>(kMicroN);
+  PARC_CHECK_MSG(sum == std::uint64_t{kMicroN} * (kMicroN + 1) / 2,
+                 "micro: every element arrives exactly once");
+  return ns;
+}
+
+void run_channel_micro(bench::JsonReport& report) {
+  Table t("Two-thread channel micro (2M ints, capacity 1024)");
+  t.columns({"variant", "ns/element", "producer blocks", "consumer blocks",
+             "parks"});
+
+  LamportRing ring(kMicroCapacity);
+  const double ring_ns = two_thread_ns_per_elem(
+      [&](int v) {
+        ExponentialBackoff backoff;
+        while (!ring.try_push(v)) backoff.pause();
+      },
+      [&](int& v) {
+        ExponentialBackoff backoff;
+        while (!ring.try_pop(v)) backoff.pause();
+      });
+  t.add_row().cell("bare Lamport ring").cell(ring_ns, 1).cell("-").cell(
+      "-").cell("-");
+  report.add("micro_lamport_ring_ns_per_elem", ring_ns);
+
+  const auto channel_row = [&](const char* name, const char* json_name) {
+    Channel<int> ch(
+        ChannelOptions{.capacity = kMicroCapacity, .spsc = true});
+    const double ns = two_thread_ns_per_elem(
+        [&](int v) { PARC_CHECK(ch.push(v)); },
+        [&](int& v) { PARC_CHECK(ch.pop(v)); });
+    const ChannelStats s = ch.stats();
+    PARC_CHECK_MSG(s.pushed == kMicroN && s.popped == kMicroN,
+                   "micro: pushed == popped == N");
+    t.add_row()
+        .cell(name)
+        .cell(ns, 1)
+        .cell(static_cast<double>(s.producer_blocks), 0)
+        .cell(static_cast<double>(s.consumer_blocks), 0)
+        .cell(static_cast<double>(s.producer_parks + s.consumer_parks), 0);
+    report.add(json_name, ns);
+  };
+  channel_row("spsc Channel", "micro_spsc_channel_ns_per_elem");
+
+  // Bystanders: consumers parked on their own empty channels, as idle
+  // pipeline stages are.
+  std::vector<std::unique_ptr<Channel<int>>> idle;
+  std::vector<std::thread> bystanders;
+  for (std::size_t k = 0; k < kBystanders; ++k) {
+    idle.push_back(std::make_unique<Channel<int>>(
+        ChannelOptions{.capacity = 4, .spsc = true}));
+    bystanders.emplace_back([c = idle.back().get()] {
+      int v = 0;
+      PARC_CHECK_MSG(!c->pop(v), "bystander channel stays empty");
+    });
+  }
+  for (const auto& c : idle) {
+    while (c->stats().consumer_parks == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  channel_row("spsc Channel, 8 threads parked elsewhere",
+              "micro_spsc_channel_8_parked_ns_per_elem");
+  for (const auto& c : idle) c->close();
+  for (auto& b : bystanders) b.join();
+  bench::emit(t);
+}
+
 }  // namespace
 }  // namespace parc::flow
 
@@ -345,11 +485,13 @@ int main(int argc, char** argv) {
   bench::JsonReport report("flow");
   report.config("pipesort_n", "1000000")
       .config("pipesort_run", "4096")
-      .config("traced_n", "16384");
+      .config("traced_n", "16384")
+      .config("micro_n", "2000000");
 
   const double melem_s = flow::run_pipesort_million(report);
   flow::run_traced_replay(report, json_only, args.trace_path);
   flow::run_live_search(report, json_only);
+  flow::run_channel_micro(report);
 
   std::printf("\nbench_flow: all conservation and envelope gates passed "
               "(pipesort %.2f Melem/s)\n", melem_s);

@@ -2,7 +2,8 @@
 # Tier-1 gate: the plain build + full ctest pass that every PR must keep
 # green, plus a ThreadSanitizer pass over the concurrency-bearing suites
 # (scheduler, ptask runtime, conc collections, net pool, serving stack,
-# flow channels) —
+# flow channels, and the gui and integration suites, whose EDT queue and
+# ptask pipelines run on flow channels) —
 # the code where a data race is a correctness bug, not a flake — and an
 # AddressSanitizer(+UBSan) pass
 # over the full test suite, which is what keeps the TaskCell/slab recycling
@@ -44,7 +45,7 @@ TSAN_SUITES=(
   ptask_test ptask_multi_test ptask_pipeline_test ptask_graph_test
   pj_sync_test pj_nested_test pj_nested_stress_test pj_places_test
   conc_collections_test conc_tasksafe_test conc_cow_test
-  net_test serve_test serve_fault_test flow_test
+  net_test serve_test serve_fault_test flow_test gui_test integration_test
 )
 cmake -B "${PREFIX}-tsan" -S . -DPARC_SANITIZE=thread \
   -DPARC_BUILD_BENCH=OFF -DPARC_BUILD_EXAMPLES=OFF >/dev/null

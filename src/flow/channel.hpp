@@ -4,10 +4,11 @@
 // behind one API, chosen at construction:
 //
 //  - SPSC fast path (`ChannelOptions::spsc`): a Lamport ring — producer owns
-//    `tail`, consumer owns `head`, each side caches the other's index so the
-//    steady state is one release store per op and *zero* shared RMWs on the
-//    ring itself. For single-producer/single-consumer edges (pipeline
-//    stages, the serve ingress thread feeding itself).
+//    `tail`, consumer owns `head`, each side caches the other's index, and
+//    each side's index and counter share its own cache line. The steady
+//    state is one release store and one seq_cst `fetch_add` per op, both
+//    on that line; the other side's line is read only when the cached index
+//    runs out. For single-producer/single-consumer edges (pipeline stages).
 //  - MPMC striped variant: `stripes` independent Vyukov per-slot-sequence
 //    subrings (the conc::MpmcRing protocol); each thread starts its sweep at
 //    a thread-affine stripe, so concurrent producers/consumers mostly CAS on
@@ -26,14 +27,23 @@
 //  - everything else spins `sched::detail::kWaiterSpins` and then parks on
 //    an epoch word with std::atomic::wait, exactly like Completion::wait.
 //
-// Wakeup protocol (the Sequencer::advance idiom): every successful pop bumps
-// `not_full_epoch_` (release RMW) and notifies; every successful push bumps
-// `not_empty_epoch_` and notifies. A waiter snapshots the epoch, re-checks
-// the ring, and only then waits on the snapshot — any op that completed
-// after the snapshot already changed the word, so the wait falls through
-// (std::atomic::wait re-checks the value; the missed-wakeup Dekker handshake
-// lives inside the stdlib waiter table, the same place Completion trusts).
-// Parked-waiter counters are statistics, not correctness.
+// Wakeup protocol (the Completion::complete wake gate): a blocked thread
+// that runs out of spins registers in its edge's waiter count, snapshots
+// the edge's epoch word, re-checks the ring, and only then waits on the
+// snapshot. A successful op bumps the opposite epoch and notifies only when
+// that edge's waiter count is non-zero, so in the steady state neither side
+// writes a line the other reads. Skipping notify_all saves more than an
+// RMW: libstdc++ 12 hashes a waited-on address into one of 16 buckets by
+// (addr >> 2) % 16, so every cache-line-aligned word lands in bucket 0, and
+// notify_all makes a futex syscall whenever any thread in the process is
+// parked on such a word. No wake-up is lost, by a Dekker handshake on
+// seq_cst accesses (as in WorkStealingPool::signal_work): the parker's
+// seq_cst increment of the count precedes its seq_cst load of the waker's
+// counter (`pushed_` for consumers, `popped_` for producers); the waker's
+// seq_cst fetch_add of that counter precedes its seq_cst load of the count.
+// So either the waker sees the parker and notifies, or the parker's re-check
+// sees the op. close(), poison() and discard_all() are rare and wake both
+// edges unconditionally.
 //
 // close()/poison():
 //  - close() is the graceful end-of-stream: pushes are rejected, consumers
@@ -75,8 +85,9 @@ enum class PushResult : std::uint8_t { ok, full, closed };
 enum class PopResult : std::uint8_t { ok, empty, closed };
 
 struct ChannelOptions {
-  /// Ring capacity; rounded up to a power of two (per stripe for MPMC, so
-  /// the usable total is stripes * bit_ceil(capacity / stripes)).
+  /// Ring capacity; rounded up to a power of two (per stripe for MPMC, at
+  /// least 2 each, so the usable total is
+  /// stripes * max(2, bit_ceil(capacity / stripes))).
   std::size_t capacity = 256;
   /// MPMC subring count; ignored for SPSC. More stripes spread producer
   /// CAS traffic at the cost of weaker cross-stripe FIFO order.
@@ -101,7 +112,10 @@ struct ChannelStats {
   std::uint64_t consumer_helps = 0;
   std::uint64_t producer_blocked_ns = 0;  ///< wall time spent full-blocked
   std::uint64_t consumer_blocked_ns = 0;  ///< wall time spent empty-blocked
-  std::uint64_t high_water = 0;  ///< max occupancy ever observed by a push
+  /// Max occupancy observed: on SPSC, sampled exactly each time the
+  /// consumer refreshes its view of the producer's index; on MPMC, after
+  /// each push.
+  std::uint64_t high_water = 0;
   std::size_t occupancy = 0;
   std::size_t capacity = 0;
   bool closed = false;
@@ -142,7 +156,10 @@ class Channel {
       capacity_ = cap;
     } else {
       const std::size_t n = opts.stripes == 0 ? 1 : opts.stripes;
-      const std::size_t per = std::bit_ceil((opts.capacity + n - 1) / n);
+      // A Vyukov ring needs two slots: in a one-slot ring a producer reads
+      // the sequence number it just published as a free slot.
+      const std::size_t per =
+          std::max<std::size_t>(2, std::bit_ceil((opts.capacity + n - 1) / n));
       stripes_.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
         stripes_.push_back(std::make_unique<Stripe>(per));
@@ -225,7 +242,7 @@ class Channel {
     }
     PopResult r = try_pop(out);
     if (r != PopResult::empty) return r;
-    consumer_blocks_.fetch_add(1, std::memory_order_relaxed);
+    not_empty_.blocks.fetch_add(1, std::memory_order_relaxed);
     if (obs::tracing()) [[unlikely]] {
       obs::emit(obs::EventKind::kChanFull, id_, 1);
     }
@@ -243,7 +260,7 @@ class Channel {
                                     deadline - now));
       r = try_pop(out);
     }
-    consumer_blocked_ns_.fetch_add(
+    not_empty_.blocked_ns.fetch_add(
         static_cast<std::uint64_t>(
             std::chrono::nanoseconds(clock::now() - t0).count()),
         std::memory_order_relaxed);
@@ -298,13 +315,10 @@ class Channel {
   std::size_t discard_all() {
     std::size_t n = 0;
     T tmp;
-    while (ring_try_pop(tmp)) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      ++n;
-    }
+    while (ring_try_pop(tmp)) ++n;
     if (n != 0) {
-      not_full_epoch_.fetch_add(1, std::memory_order_release);
-      not_full_epoch_.notify_all();
+      dropped_.fetch_add(n, std::memory_order_relaxed);
+      wake(not_full_);
     }
     return n;
   }
@@ -325,7 +339,11 @@ class Channel {
     const std::uint64_t in = pushed_.load(std::memory_order_relaxed);
     const std::uint64_t gone = popped_.load(std::memory_order_relaxed) +
                                dropped_.load(std::memory_order_relaxed);
-    return in > gone ? static_cast<std::size_t>(in - gone) : 0;
+    // Each counter is written after its ring op, so ops in flight can leave
+    // `in - gone` briefly outside [0, capacity].
+    return in > gone ? static_cast<std::size_t>(std::min<std::uint64_t>(
+                           in - gone, capacity_))
+                     : 0;
   }
 
   [[nodiscard]] ChannelStats stats() const {
@@ -333,16 +351,16 @@ class Channel {
     s.pushed = pushed_.load(std::memory_order_relaxed);
     s.popped = popped_.load(std::memory_order_relaxed);
     s.dropped = dropped_.load(std::memory_order_relaxed);
-    s.producer_blocks = producer_blocks_.load(std::memory_order_relaxed);
-    s.consumer_blocks = consumer_blocks_.load(std::memory_order_relaxed);
-    s.producer_parks = producer_parks_.load(std::memory_order_relaxed);
-    s.consumer_parks = consumer_parks_.load(std::memory_order_relaxed);
-    s.producer_helps = producer_helps_.load(std::memory_order_relaxed);
-    s.consumer_helps = consumer_helps_.load(std::memory_order_relaxed);
+    s.producer_blocks = not_full_.blocks.load(std::memory_order_relaxed);
+    s.consumer_blocks = not_empty_.blocks.load(std::memory_order_relaxed);
+    s.producer_parks = not_full_.parks.load(std::memory_order_relaxed);
+    s.consumer_parks = not_empty_.parks.load(std::memory_order_relaxed);
+    s.producer_helps = not_full_.helps.load(std::memory_order_relaxed);
+    s.consumer_helps = not_empty_.helps.load(std::memory_order_relaxed);
     s.producer_blocked_ns =
-        producer_blocked_ns_.load(std::memory_order_relaxed);
+        not_full_.blocked_ns.load(std::memory_order_relaxed);
     s.consumer_blocked_ns =
-        consumer_blocked_ns_.load(std::memory_order_relaxed);
+        not_empty_.blocked_ns.load(std::memory_order_relaxed);
     s.high_water = high_water_.load(std::memory_order_relaxed);
     s.occupancy = occupancy();
     s.capacity = capacity_;
@@ -412,6 +430,19 @@ class Channel {
     alignas(kCacheLineSize) std::atomic<std::size_t> dequeue_pos{0};
   };
 
+  /// One blocking direction: producers block on not_full_, consumers on
+  /// not_empty_. `epoch` and `waiters` share a line that the opposite side
+  /// reads on every op but writes only to wake a parked thread; the
+  /// blocked side's statistics sit on a line of their own.
+  struct Edge {
+    alignas(kCacheLineSize) std::atomic<std::uint32_t> epoch{0};
+    std::atomic<std::uint32_t> waiters{0};
+    alignas(kCacheLineSize) std::atomic<std::uint64_t> blocks{0};
+    std::atomic<std::uint64_t> parks{0};
+    std::atomic<std::uint64_t> helps{0};
+    std::atomic<std::uint64_t> blocked_ns{0};
+  };
+
   bool ring_try_push(T& v) {
     if (spsc_) {
       const std::size_t t = tail_.load(std::memory_order_relaxed);
@@ -437,6 +468,11 @@ class Channel {
       if (h == tail_cache_) {
         tail_cache_ = tail_.load(std::memory_order_acquire);
         if (h == tail_cache_) return false;
+        // The consumer owns head_, so this is the exact occupancy now; on
+        // SPSC high_water_ has this single writer and the producer no CAS.
+        if (tail_cache_ - h > high_water_.load(std::memory_order_relaxed)) {
+          high_water_.store(tail_cache_ - h, std::memory_order_relaxed);
+        }
       }
       out = std::move(slots_[h & mask_]);
       head_.store(h + 1, std::memory_order_release);
@@ -451,128 +487,112 @@ class Channel {
   }
 
   void after_push() noexcept {
-    const std::uint64_t in =
-        pushed_.fetch_add(1, std::memory_order_relaxed) + 1;
-    const std::uint64_t gone = popped_.load(std::memory_order_relaxed) +
-                               dropped_.load(std::memory_order_relaxed);
-    // popped_ is bumped after the ring pop, so consumers between the two
-    // can leave `in - gone` above what the ring holds.
-    const std::uint64_t occ = std::min<std::uint64_t>(
-        in > gone ? in - gone : 0, capacity_);
-    std::uint64_t hw = high_water_.load(std::memory_order_relaxed);
-    while (occ > hw && !high_water_.compare_exchange_weak(
-                           hw, occ, std::memory_order_relaxed)) {
+    pushed_.fetch_add(1, std::memory_order_seq_cst);
+    if (!spsc_) {
+      const std::uint64_t occ = occupancy();
+      std::uint64_t hw = high_water_.load(std::memory_order_relaxed);
+      while (occ > hw && !high_water_.compare_exchange_weak(
+                             hw, occ, std::memory_order_relaxed)) {
+      }
     }
-    not_empty_epoch_.fetch_add(1, std::memory_order_release);
-    not_empty_epoch_.notify_all();
+    wake_if_parked(not_empty_);
     if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kChanPush, id_, occ);
+      obs::emit(obs::EventKind::kChanPush, id_, occupancy());
     }
   }
 
   void after_pop() noexcept {
-    popped_.fetch_add(1, std::memory_order_relaxed);
-    not_full_epoch_.fetch_add(1, std::memory_order_release);
-    not_full_epoch_.notify_all();
+    popped_.fetch_add(1, std::memory_order_seq_cst);
+    wake_if_parked(not_full_);
     if (obs::tracing()) [[unlikely]] {
       obs::emit(obs::EventKind::kChanPop, id_, occupancy());
     }
   }
 
   PushResult push_slow(T& v) {
-    using clock = std::chrono::steady_clock;
-    producer_blocks_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kChanFull, id_, 0);
-    }
-    const auto t0 = clock::now();
     PushResult r = PushResult::full;
-    if (auto* pool = sched::WorkStealingPool::current_pool()) {
-      producer_helps_.fetch_add(1, std::memory_order_relaxed);
-      pool->help_while([&] {
-        r = try_push(v);
-        return r == PushResult::full;
-      });
-    } else {
-      for (std::size_t i = 0;
-           i < sched::detail::kWaiterSpins && r == PushResult::full; ++i) {
-        ExponentialBackoff::cpu_relax();
-        r = try_push(v);
-      }
-      while (r == PushResult::full) {
-        const std::uint32_t e =
-            not_full_epoch_.load(std::memory_order_acquire);
-        r = try_push(v);
-        if (r != PushResult::full) break;
-        producer_parks_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::tracing()) [[unlikely]] {
-          obs::emit(obs::EventKind::kWaiterPark, id_, 0);
-        }
-        not_full_epoch_.wait(e, std::memory_order_acquire);
-        if (obs::tracing()) [[unlikely]] {
-          obs::emit(obs::EventKind::kWaiterWake, id_, 0);
-        }
-        r = try_push(v);
-      }
-    }
-    producer_blocked_ns_.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::nanoseconds(clock::now() - t0).count()),
-        std::memory_order_relaxed);
+    block(not_full_, popped_, 0, [&] {
+      r = try_push(v);
+      return r == PushResult::full;
+    });
     return r;
   }
 
   PopResult pop_slow(T& out) {
+    PopResult r = PopResult::empty;
+    block(not_empty_, pushed_, 1, [&] {
+      r = try_pop(out);
+      return r == PopResult::empty;
+    });
+    return r;
+  }
+
+  /// The slow path of push and pop. `blocked()` retries the op and returns
+  /// true while it still cannot proceed; `peer` is the counter the waking
+  /// side writes; `side` is the trace arg (0 producer, 1 consumer). Pool
+  /// threads help; others spin, then park.
+  template <typename Blocked>
+  void block(Edge& edge, const std::atomic<std::uint64_t>& peer,
+             std::uint64_t side, Blocked&& blocked) {
     using clock = std::chrono::steady_clock;
-    consumer_blocks_.fetch_add(1, std::memory_order_relaxed);
+    edge.blocks.fetch_add(1, std::memory_order_relaxed);
     if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kChanFull, id_, 1);
+      obs::emit(obs::EventKind::kChanFull, id_, side);
     }
     const auto t0 = clock::now();
-    PopResult r = PopResult::empty;
     if (auto* pool = sched::WorkStealingPool::current_pool()) {
-      consumer_helps_.fetch_add(1, std::memory_order_relaxed);
-      pool->help_while([&] {
-        r = try_pop(out);
-        return r == PopResult::empty;
-      });
+      edge.helps.fetch_add(1, std::memory_order_relaxed);
+      pool->help_while(blocked);
     } else {
-      for (std::size_t i = 0;
-           i < sched::detail::kWaiterSpins && r == PopResult::empty; ++i) {
+      bool still = true;
+      for (std::size_t i = 0; i < sched::detail::kWaiterSpins && still; ++i) {
         ExponentialBackoff::cpu_relax();
-        r = try_pop(out);
+        still = blocked();
       }
-      while (r == PopResult::empty) {
-        const std::uint32_t e =
-            not_empty_epoch_.load(std::memory_order_acquire);
-        r = try_pop(out);
-        if (r != PopResult::empty) break;
-        consumer_parks_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::tracing()) [[unlikely]] {
-          obs::emit(obs::EventKind::kWaiterPark, id_, 1);
+      if (still) {
+        // The parker's half of the handshake: register, then load the
+        // waker's counter with seq_cst before the re-check.
+        edge.waiters.fetch_add(1, std::memory_order_seq_cst);
+        for (;;) {
+          const std::uint32_t e = edge.epoch.load(std::memory_order_acquire);
+          (void)peer.load(std::memory_order_seq_cst);
+          if (!blocked()) break;
+          edge.parks.fetch_add(1, std::memory_order_relaxed);
+          if (obs::tracing()) [[unlikely]] {
+            obs::emit(obs::EventKind::kWaiterPark, id_, side);
+          }
+          edge.epoch.wait(e, std::memory_order_acquire);
+          if (obs::tracing()) [[unlikely]] {
+            obs::emit(obs::EventKind::kWaiterWake, id_, side);
+          }
         }
-        not_empty_epoch_.wait(e, std::memory_order_acquire);
-        if (obs::tracing()) [[unlikely]] {
-          obs::emit(obs::EventKind::kWaiterWake, id_, 1);
-        }
-        r = try_pop(out);
+        edge.waiters.fetch_sub(1, std::memory_order_relaxed);
       }
     }
-    consumer_blocked_ns_.fetch_add(
+    edge.blocked_ns.fetch_add(
         static_cast<std::uint64_t>(
             std::chrono::nanoseconds(clock::now() - t0).count()),
         std::memory_order_relaxed);
-    return r;
+  }
+
+  static void wake(Edge& edge) noexcept {
+    edge.epoch.fetch_add(1, std::memory_order_release);
+    edge.epoch.notify_all();
+  }
+
+  /// The waker's half of the park handshake: the caller has just bumped
+  /// its counter (pushed_ or popped_) with seq_cst, and this load is
+  /// seq_cst too (block() holds the parker's half).
+  static void wake_if_parked(Edge& edge) noexcept {
+    if (edge.waiters.load(std::memory_order_seq_cst) != 0) wake(edge);
   }
 
   void close_impl(bool poison) noexcept {
     const bool was = closed_.exchange(true, std::memory_order_acq_rel);
     // Wake both edges even when already closed: poison-after-close must
     // still kick parked consumers into their drain-and-exit path.
-    not_full_epoch_.fetch_add(1, std::memory_order_release);
-    not_full_epoch_.notify_all();
-    not_empty_epoch_.fetch_add(1, std::memory_order_release);
-    not_empty_epoch_.notify_all();
+    wake(not_full_);
+    wake(not_empty_);
     if (!was && obs::tracing()) [[unlikely]] {
       obs::emit(obs::EventKind::kChanClosed, id_, poison ? 1 : 0);
     }
@@ -582,38 +602,33 @@ class Channel {
   const std::uint64_t id_;
   std::size_t capacity_ = 0;
 
-  // SPSC ring (unused when striped). Producer side: tail_ + its cached view
-  // of head_; consumer side: head_ + cached tail_. The caches are plain
-  // fields written only by their own side.
+  // SPSC ring (unused when striped).
   std::vector<T> slots_;
   std::size_t mask_ = 0;
-  alignas(kCacheLineSize) std::atomic<std::size_t> tail_{0};
-  std::size_t head_cache_ = 0;
-  alignas(kCacheLineSize) std::atomic<std::size_t> head_{0};
-  std::size_t tail_cache_ = 0;
 
   // MPMC stripes (unused when spsc).
   std::vector<std::unique_ptr<Stripe>> stripes_;
 
-  // Park/wake epochs (Sequencer::advance idiom) + lifecycle flags.
-  alignas(kCacheLineSize) std::atomic<std::uint32_t> not_full_epoch_{0};
-  alignas(kCacheLineSize) std::atomic<std::uint32_t> not_empty_epoch_{0};
-  std::atomic<bool> closed_{false};
-  std::atomic<bool> poisoned_{false};
+  // Producer line: tail_, the producer's cached view of head_, and pushed_.
+  // On SPSC the producer is the only thread that writes it.
+  alignas(kCacheLineSize) std::atomic<std::size_t> tail_{0};
+  std::size_t head_cache_ = 0;
+  std::atomic<std::uint64_t> pushed_{0};
 
-  // Counters. pushed_ is producer-side, popped_/dropped_ consumer-side.
-  alignas(kCacheLineSize) std::atomic<std::uint64_t> pushed_{0};
-  alignas(kCacheLineSize) std::atomic<std::uint64_t> popped_{0};
+  // Consumer line: head_, the cached tail_, and the counters only the
+  // consumer writes on SPSC (on MPMC, producers also raise high_water_).
+  alignas(kCacheLineSize) std::atomic<std::size_t> head_{0};
+  std::size_t tail_cache_ = 0;
+  std::atomic<std::uint64_t> popped_{0};
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> high_water_{0};
-  std::atomic<std::uint64_t> producer_blocks_{0};
-  std::atomic<std::uint64_t> consumer_blocks_{0};
-  std::atomic<std::uint64_t> producer_parks_{0};
-  std::atomic<std::uint64_t> consumer_parks_{0};
-  std::atomic<std::uint64_t> producer_helps_{0};
-  std::atomic<std::uint64_t> consumer_helps_{0};
-  std::atomic<std::uint64_t> producer_blocked_ns_{0};
-  std::atomic<std::uint64_t> consumer_blocked_ns_{0};
+
+  // Lifecycle flags: read by both sides on every op, written once.
+  alignas(kCacheLineSize) std::atomic<bool> closed_{false};
+  std::atomic<bool> poisoned_{false};
+
+  Edge not_full_;
+  Edge not_empty_;
 };
 
 }  // namespace parc::flow

@@ -192,6 +192,11 @@ struct StageRecord {
   std::function<ChannelStats()> input_stats;
 };
 
+/// Shared state of one pipeline, owned by the handle that holds it: the
+/// `pipeline<T>()` chain while stages are added, then the Pipeline. Stage
+/// threads hold a raw pointer to it, never a shared_ptr: otherwise the
+/// threads would keep the core alive and this destructor could never run
+/// to stop them.
 struct PipelineCore {
   PipelineOptions opts;
   std::vector<std::thread> threads;
@@ -203,7 +208,8 @@ struct PipelineCore {
 
   ~PipelineCore() {
     // Abandoned builder / facade destroyed without wait(): unblock every
-    // stage before joining so teardown cannot hang.
+    // stage before joining so teardown cannot hang. The threads are joined
+    // here, before any member they use is destroyed.
     bool live = false;
     for (auto& t : threads) live = live || t.joinable();
     if (live) {
@@ -228,7 +234,7 @@ std::shared_ptr<Channel<T>> make_channel(const std::shared_ptr<PipelineCore>& co
 /// pool_batch runner per replica) popping `in`, pushing `out`; the last
 /// replica out closes the output.
 template <typename H, typename C>
-void start_stage(const std::shared_ptr<PipelineCore>& core,
+void start_stage(PipelineCore* core,
                  std::shared_ptr<Channel<H>> in,
                  std::shared_ptr<Channel<C>> out,
                  const std::function<ReplicaFns<H, C>()>& factory,
@@ -323,7 +329,7 @@ void start_stage(const std::shared_ptr<PipelineCore>& core,
 }
 
 template <typename C>
-void start_collect(const std::shared_ptr<PipelineCore>& core,
+void start_collect(PipelineCore* core,
                    std::shared_ptr<Channel<C>> in,
                    std::shared_ptr<std::vector<C>> results) {
   core->sinks.push_back(
@@ -341,7 +347,7 @@ void start_collect(const std::shared_ptr<PipelineCore>& core,
 }
 
 template <typename C, typename Sink>
-void start_for_each(const std::shared_ptr<PipelineCore>& core,
+void start_for_each(PipelineCore* core,
                     std::shared_ptr<Channel<C>> in, Sink sink,
                     std::size_t parallelism) {
   const std::size_t par = parallelism == 0 ? 1 : parallelism;
@@ -503,7 +509,7 @@ class PipelineBuilder {
       last = ensure_source();
     }
     auto results = std::make_shared<std::vector<Cur>>();
-    detail::start_collect(core_, last, results);
+    detail::start_collect(core_.get(), last, results);
     return Pipeline<In, Cur>(std::move(core_), std::move(source_),
                              std::move(results));
   }
@@ -518,7 +524,7 @@ class PipelineBuilder {
     } else {
       last = ensure_source();
     }
-    detail::start_for_each(core_, last, std::move(sink), parallelism);
+    detail::start_for_each(core_.get(), last, std::move(sink), parallelism);
     return Pipeline<In, Unit>(std::move(core_), std::move(source_), nullptr);
   }
 
@@ -581,7 +587,7 @@ class PipelineBuilder {
                            : pending_opts_.name;
     core_->stages.push_back(
         {name, par, [in = head_] { return in->stats(); }});
-    detail::start_stage<Head, Cur>(core_, head_, out, factory_,
+    detail::start_stage<Head, Cur>(core_.get(), head_, out, factory_,
                                    pending_opts_, name);
     return out;
   }

@@ -87,6 +87,28 @@ TEST(FlowChannel, StripedDeliversEveryElement) {
   expect_conserved(ch.stats());
 }
 
+TEST(FlowChannel, StripesHoldAtLeastTwoSlotsEach) {
+  // Capacity 2 over 2 stripes would give one-slot Vyukov rings, which take
+  // a push into a full slot and then spin forever on the next pop.
+  Channel<int> ch(ChannelOptions{.capacity = 2, .stripes = 2});
+  ASSERT_EQ(ch.capacity(), 4u);
+  for (int i = 1; i <= 4; ++i) {
+    int v = i;
+    ASSERT_EQ(ch.try_push(v), PushResult::ok);
+  }
+  int extra = 5;
+  EXPECT_EQ(ch.try_push(extra), PushResult::full);
+  int sum = 0;
+  for (int i = 0; i < 4; ++i) {
+    int out = 0;
+    ASSERT_EQ(ch.try_pop(out), PopResult::ok);
+    sum += out;
+  }
+  EXPECT_EQ(sum, 1 + 2 + 3 + 4);
+  int out = 0;
+  EXPECT_EQ(ch.try_pop(out), PopResult::empty);
+}
+
 TEST(FlowChannel, CloseDrainsBufferedThenReportsClosed) {
   Channel<int> ch(ChannelOptions{.capacity = 8});
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(ch.push(i));
@@ -302,6 +324,46 @@ TEST(FlowChannel, ConcurrentPoisonConservesPushedEqualsPoppedPlusDropped) {
   EXPECT_EQ(s.pushed, produced.load());
   EXPECT_EQ(s.popped, consumed.load());
   expect_conserved(s);
+}
+
+TEST(FlowChannel, TinyCapacityPingPongNeverLosesAWakeup) {
+  // A tiny ring between plain threads: both sides keep running out of
+  // spins and parking, so a lost wake-up hangs here.
+  static constexpr std::uint64_t kItems = 200'000;
+  const auto run = [](ChannelOptions opts, std::uint64_t producers,
+                      std::uint64_t consumers) {
+    Channel<std::uint64_t> ch(opts);
+    std::atomic<std::uint64_t> sum{0};
+    std::atomic<std::uint64_t> live{producers};
+    std::vector<std::thread> threads;
+    const std::uint64_t per = kItems / producers;
+    for (std::uint64_t p = 0; p < producers; ++p) {
+      threads.emplace_back([&, p] {
+        for (std::uint64_t i = 1; i <= per; ++i) {
+          EXPECT_TRUE(ch.push(p * per + i));
+        }
+        if (live.fetch_sub(1) == 1) ch.close();
+      });
+    }
+    for (std::uint64_t c = 0; c < consumers; ++c) {
+      threads.emplace_back([&] {
+        std::uint64_t v = 0;
+        std::uint64_t local = 0;
+        while (ch.pop(v)) local += v;
+        sum.fetch_add(local);
+      });
+    }
+    for (auto& t : threads) t.join();
+    const ChannelStats s = ch.stats();
+    EXPECT_EQ(sum.load(), kItems * (kItems + 1) / 2);
+    EXPECT_EQ(s.pushed, kItems);
+    EXPECT_EQ(s.popped, kItems);
+    EXPECT_EQ(s.dropped, 0u);
+    EXPECT_GT(s.producer_parks + s.consumer_parks, 0u)
+        << "a ring this small must make a blocked side park";
+  };
+  run(ChannelOptions{.capacity = 2, .spsc = true}, 1, 1);
+  run(ChannelOptions{.capacity = 2, .stripes = 2}, 2, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -547,6 +609,26 @@ TEST(FlowPipeline, ThrowingStagePoisonsAndWaitRethrows) {
   EXPECT_THROW((void)p.wait(), std::runtime_error);
   // wait() swept every channel: conservation still exact.
   expect_conserved(p.source_stats());
+}
+
+TEST(FlowPipeline, DroppedWithoutWaitJoinsItsThreads) {
+  // The stage thread's copy of the callable holds a token reference, so
+  // the count falls back to 1 only once that thread has been joined.
+  auto token = std::make_shared<int>(0);
+  {
+    auto p = pipeline<int>(PipelineOptions{.capacity = 4})
+                 .then(stage([token](int x) { return x + *token; }))
+                 .collect();
+    ASSERT_TRUE(p.push(1));
+  }
+  EXPECT_EQ(token.use_count(), 1) << "collected pipeline dropped unjoined";
+  {
+    // No collect(): the first stage has started, the second is pending.
+    auto unfinished = pipeline<int>(PipelineOptions{.capacity = 4})
+                          .then(stage([token](int x) { return x + *token; }))
+                          .then(stage([](int x) { return x; }));
+  }
+  EXPECT_EQ(token.use_count(), 1) << "unfinished chain left a stage unjoined";
 }
 
 TEST(FlowPipeline, RandomizedMultiStagePipelineMatchesSequentialOracle) {
