@@ -6,10 +6,10 @@
 //                    still writes BENCH_<name>.json.
 //   --trace <path>   record the run with parc::obs and write a Chrome
 //                    trace-event file (requires -DPARC_TRACE=ON).
-//   --threads <n>    worker-count override for benches that honour it.
 //
-// Recognised flags are removed from argv so google-benchmark (or any other
-// downstream parser) never sees them; everything else is left in place.
+// Recognised flags are removed from argv so a downstream parser (e.g.
+// perf_report's own flags) never sees them; everything else is left in
+// place.
 #pragma once
 
 #include <cstdio>
@@ -21,15 +21,12 @@ namespace parc::bench {
 
 struct Args {
   bool json = false;
-  std::string trace_path;   ///< empty: tracing off
-  std::size_t threads = 0;  ///< 0: bench default
-
-  [[nodiscard]] bool tracing() const { return !trace_path.empty(); }
+  std::string trace_path;  ///< empty: tracing off
 };
 
 /// Parse and strip the shared flags from argv in place. Exits with status 2
-/// on a malformed flag (missing value, non-numeric --threads) — a bench
-/// invoked wrongly should fail loudly, not run the wrong experiment.
+/// on a malformed flag (missing value) — a bench invoked wrongly should fail
+/// loudly, not run the wrong experiment.
 inline Args parse(int& argc, char** argv) {
   Args args;
   int out = 1;
@@ -46,15 +43,6 @@ inline Args parse(int& argc, char** argv) {
       args.json = true;
     } else if (std::strcmp(arg, "--trace") == 0) {
       args.trace_path = value("--trace");
-    } else if (std::strcmp(arg, "--threads") == 0) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(value("--threads"), &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0) {
-        std::fprintf(stderr, "%s: --threads needs a positive integer\n",
-                     argv[0]);
-        std::exit(2);
-      }
-      args.threads = static_cast<std::size_t>(n);
     } else {
       argv[out++] = argv[i];  // not ours: keep for the next parser
     }

@@ -1,6 +1,6 @@
 // ABLATION: the runtime design knobs DESIGN.md calls out —
-//  (a) task spawn overhead: ParallelTask task vs raw std::thread vs plain
-//      function call (why pooled tasks beat thread-per-item);
+//  (a) task spawn overhead: ParallelTask task vs raw std::thread (why
+//      pooled tasks beat thread-per-item);
 //  (b) chunk-size sweep for dynamic scheduling (grain vs dispenser traffic);
 //  (c) work-stealing statistics under recursive fork/join (helping waits in
 //      action);
@@ -16,34 +16,9 @@
 
 using namespace parc;
 
-static void BM_SpawnPTask(benchmark::State& state) {
-  static ptask::Runtime rt(ptask::Runtime::Config{2, {}});
-  for (auto _ : state) {
-    auto t = ptask::run(rt, [] { return 1; });
-    benchmark::DoNotOptimize(t.get());
-  }
-}
-BENCHMARK(BM_SpawnPTask);
-
-static void BM_SpawnRawThread(benchmark::State& state) {
-  for (auto _ : state) {
-    int out = 0;
-    std::thread t([&] { out = 1; });
-    t.join();
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_SpawnRawThread);
-
-static void BM_PlainCall(benchmark::State& state) {
-  auto fn = [] { return 1; };
-  for (auto _ : state) benchmark::DoNotOptimize(fn());
-}
-BENCHMARK(BM_PlainCall);
-
-int main(int argc, char** argv) {
-  // (a) spawn-cost table (quick inline measurement; precise numbers come
-  // from the registered micro-benchmarks below).
+int main() {
+  // (a) spawn-cost table: 10k pooled tasks against raw threads (500 timed,
+  // scaled to 10k).
   {
     Table spawn("Ablation (a) — cost per unit of concurrency (10k spawns)");
     spawn.columns({"mechanism", "total ms", "us each"});
@@ -140,5 +115,5 @@ int main(int argc, char** argv) {
     bench::emit(sensitivity);
   }
 
-  return bench::run_micro(argc, argv);
+  return 0;
 }

@@ -19,17 +19,7 @@ std::vector<Group> cohort_groups(std::uint64_t seed) {
 
 }  // namespace
 
-static void BM_AllocateFifo(benchmark::State& state) {
-  auto groups = cohort_groups(7);
-  std::vector<std::size_t> arrival(groups.size());
-  for (std::size_t i = 0; i < arrival.size(); ++i) arrival[i] = i;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(allocate_fifo(groups, 10, 2, arrival));
-  }
-}
-BENCHMARK(BM_AllocateFifo);
-
-int main(int argc, char** argv) {
+int main() {
   // One concrete semester.
   auto groups = cohort_groups(2013);
   std::vector<std::size_t> arrival(groups.size());
@@ -89,5 +79,5 @@ int main(int argc, char** argv) {
   invariants.row({"FIFO fairness", all_fifo_fair ? "yes" : "NO"});
   bench::emit(invariants);
 
-  return bench::run_micro(argc, argv);
+  return 0;
 }

@@ -7,15 +7,7 @@
 using namespace parc;
 using namespace parc::course;
 
-static void BM_RunSurvey(benchmark::State& state) {
-  const auto questions = softeng751_survey();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_survey(questions, 57, 42));
-  }
-}
-BENCHMARK(BM_RunSurvey);
-
-int main(int argc, char** argv) {
+int main() {
   // ~57 respondents ("almost 60 students").
   const auto outcomes = run_survey(softeng751_survey(), 57, 2013);
 
@@ -52,5 +44,5 @@ int main(int argc, char** argv) {
   }
   bench::emit(comments);
 
-  return bench::run_micro(argc, argv);
+  return 0;
 }

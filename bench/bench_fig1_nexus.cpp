@@ -1,23 +1,15 @@
 // FIG1: regenerate Figure 1 — the research-teaching nexus quadrants and
 // where every SoftEng 751 activity sits, including the paper's observation
 // that research-oriented is the one deliberately uncovered quadrant.
+#include <algorithm>
+
 #include "bench_util.hpp"
 #include "course/nexus.hpp"
 
 using namespace parc;
 using namespace parc::course;
 
-static void BM_ClassifyActivity(benchmark::State& state) {
-  const auto activities = softeng751_activities();
-  for (auto _ : state) {
-    for (const auto& a : activities) {
-      benchmark::DoNotOptimize(a.category());
-    }
-  }
-}
-BENCHMARK(BM_ClassifyActivity);
-
-int main(int argc, char** argv) {
+int main() {
   Table quadrants("Figure 1 — research-teaching nexus (emphasis x participation)");
   quadrants.columns({"quadrant", "content emphasis", "student role"});
   quadrants.row({"research-led", "research content", "audience"});
@@ -46,5 +38,5 @@ int main(int argc, char** argv) {
   }
   bench::emit(coverage);
 
-  return bench::run_micro(argc, argv);
+  return 0;
 }

@@ -7,15 +7,7 @@
 using namespace parc;
 using namespace parc::course;
 
-static void BM_GenerateAndValidatePlan(benchmark::State& state) {
-  for (auto _ : state) {
-    const auto plan = softeng751_plan();
-    benchmark::DoNotOptimize(validate_plan(plan));
-  }
-}
-BENCHMARK(BM_GenerateAndValidatePlan);
-
-int main(int argc, char** argv) {
+int main() {
   const auto plan = softeng751_plan();
 
   Table weeks("Figure 2 — SoftEng 751 course structure");
@@ -41,5 +33,5 @@ int main(int argc, char** argv) {
                 std::to_string(checks.project_weeks)});
   bench::emit(verdicts);
 
-  return bench::run_micro(argc, argv);
+  return 0;
 }

@@ -7,15 +7,7 @@
 using namespace parc;
 using namespace parc::course;
 
-static void BM_SimulateCommunity(benchmark::State& state) {
-  CommunityParams params;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulate_community(params, 8, 6, 42));
-  }
-}
-BENCHMARK(BM_SimulateCommunity);
-
-int main(int argc, char** argv) {
+int main() {
   CommunityParams params;
   const auto series = simulate_community(params, 8, 6, 2013);
 
@@ -44,5 +36,5 @@ int main(int argc, char** argv) {
       "mentoring'), and the bug backlog stabilises because the fix rate "
       "keeps pace with the enlarged user base.\n");
 
-  return bench::run_micro(argc, argv);
+  return 0;
 }

@@ -42,15 +42,7 @@ StrategyOutcome measure(const img::ImageFolder& folder,
 
 }  // namespace
 
-static void BM_ResizeOneImage(benchmark::State& state) {
-  const auto src = img::generate_image(512, 512, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(img::resize(src, 64, 64, img::Filter::kBilinear));
-  }
-}
-BENCHMARK(BM_ResizeOneImage);
-
-int main(int argc, char** argv) {
+int main() {
   ptask::Runtime runtime(ptask::Runtime::Config{4, {}});
 
   Table table("P1 — thumbnail strategies (box 64, bilinear)");
@@ -96,5 +88,5 @@ int main(int argc, char** argv) {
   }
   bench::emit(scaling);
 
-  return bench::run_micro(argc, argv);
+  return 0;
 }

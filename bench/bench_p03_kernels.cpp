@@ -43,21 +43,7 @@ KernelRow measure(const std::string& name, Seq&& seq, Par&& par,
 
 }  // namespace
 
-static void BM_Gemm128(benchmark::State& state) {
-  const auto a = Matrix::random(128, 128, 1);
-  const auto b = Matrix::random(128, 128, 2);
-  for (auto _ : state) benchmark::DoNotOptimize(gemm_seq(a, b));
-}
-BENCHMARK(BM_Gemm128);
-
-static void BM_Spmv(benchmark::State& state) {
-  const auto a = CsrMatrix::random(5000, 5000, 0.002, 3);
-  std::vector<double> x(5000, 1.0);
-  for (auto _ : state) benchmark::DoNotOptimize(spmv_seq(a, x));
-}
-BENCHMARK(BM_Spmv);
-
-int main(int argc, char** argv) {
+int main() {
   Table table("P3 — kernels: sequential vs Pyjama (4 threads), 1-core wall times");
   table.columns({"kernel", "seq ms", "pj static ms", "pj dynamic ms",
                  "pj guided ms", "agrees"});
@@ -177,5 +163,5 @@ int main(int argc, char** argv) {
   }
   bench::emit(scaling);
 
-  return bench::run_micro(argc, argv);
+  return 0;
 }

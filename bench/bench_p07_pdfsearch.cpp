@@ -34,18 +34,7 @@ std::size_t task_count(const GeneratedPdfLibrary& lib, PdfGranularity g,
 
 }  // namespace
 
-static void BM_SearchOnePage(benchmark::State& state) {
-  PdfLibraryOptions opts;
-  opts.num_documents = 1;
-  const auto lib = make_pdf_library(opts, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        find_all_literal(lib.documents[0].pages[0], opts.needle));
-  }
-}
-BENCHMARK(BM_SearchOnePage);
-
-int main(int argc, char** argv) {
+int main() {
   PdfLibraryOptions opts;
   opts.num_documents = 96;
   const auto lib = make_pdf_library(opts, 2013);
@@ -122,5 +111,5 @@ int main(int argc, char** argv) {
   }
   bench::emit(scaling);
 
-  return bench::run_micro(argc, argv);
+  return 0;
 }

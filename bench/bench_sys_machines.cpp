@@ -8,16 +8,7 @@
 using namespace parc;
 using namespace parc::sim;
 
-static void BM_SimulateQuicksortDag(benchmark::State& state) {
-  const auto dag = divide_conquer_dag(1 << 20, 1 << 13, 1e-8, 0.0);
-  const auto machine = parc_64core();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulate(dag, machine));
-  }
-}
-BENCHMARK(BM_SimulateQuicksortDag);
-
-int main(int argc, char** argv) {
+int main() {
   Table inventory("§III-B parallel systems available to students");
   inventory.columns({"machine", "cores", "per-task overhead us"});
   for (const auto& m : {parc_8core(), parc_16core(), parc_64core()}) {
@@ -81,5 +72,5 @@ int main(int argc, char** argv) {
       "exactly as the formula predicts. These are the scaling shapes the "
       "student groups measured on the real machines.\n");
 
-  return bench::run_micro(argc, argv);
+  return 0;
 }

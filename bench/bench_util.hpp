@@ -1,12 +1,10 @@
 // Shared scaffolding for bench binaries: every bench prints the regenerated
-// paper artifact as a Table first (deterministic), then runs its registered
-// google-benchmark micro-measurements (wall-clock, labelled as 1-core
-// container numbers in EXPERIMENTS.md). A bench that wants its numbers
-// machine-readable fills a JsonReport alongside the table; the written
-// BENCH_<name>.json is what CI archives and regression tooling diffs.
+// paper artifact as Tables, timing any wall-clock column inline with
+// support/clock.hpp, and exits 0 once its gates pass. A bench that wants its
+// numbers machine-readable fills a JsonReport alongside the table; the
+// written BENCH_<name>.json is what CI archives and regression tooling
+// diffs.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <fstream>
 #include <iostream>
@@ -82,15 +80,5 @@ class JsonReport {
   std::vector<std::pair<std::string, std::string>> config_;
   std::vector<std::pair<std::string, double>> cases_;
 };
-
-/// Standard tail of every bench main(): run micro-benchmarks if any were
-/// registered (and not filtered out by --benchmark_* flags).
-inline int run_micro(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
 
 }  // namespace parc::bench

@@ -68,7 +68,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -265,35 +264,6 @@ class Channel {
             std::chrono::nanoseconds(clock::now() - t0).count()),
         std::memory_order_relaxed);
     return r;
-  }
-
-  // ---- batched ----
-
-  /// Push every element (blocking); returns how many landed — short only
-  /// when the channel closed under us.
-  std::size_t push_n(std::span<T> items) {
-    std::size_t n = 0;
-    for (T& v : items) {
-      if (!push(std::move(v))) break;
-      ++n;
-    }
-    return n;
-  }
-
-  /// Block for at least one element (or close), then greedily take up to
-  /// `max` without further blocking. Returns the count appended to `out`;
-  /// 0 means closed-and-drained.
-  std::size_t pop_n(std::vector<T>& out, std::size_t max) {
-    if (max == 0) return 0;
-    T v;
-    if (!pop(v)) return 0;
-    out.push_back(std::move(v));
-    std::size_t n = 1;
-    while (n < max && try_pop(v) == PopResult::ok) {
-      out.push_back(std::move(v));
-      ++n;
-    }
-    return n;
   }
 
   // ---- lifecycle ----

@@ -6,9 +6,7 @@
 // the way back to Pipeline::push. Stage threads are *dedicated*
 // std::threads, never long-running pool jobs — a pool job blocked on a full
 // channel could have its consumer nested under it by cooperative helping
-// (the bounded-buffer deadlock documented in conc/task_safe.hpp). The pool
-// is used only for finite leaf fan-out inside a stage (`pool_batch`), where
-// helping is safe because leaf jobs never touch a channel.
+// (the bounded-buffer deadlock documented in conc/task_safe.hpp).
 //
 // Stage shapes. A stage callable takes the element by value/rvalue and
 // returns either `Out` (map) or `std::optional<Out>` (filter / stateful
@@ -27,9 +25,7 @@
 //
 // Per-stage parallelism: `StageOptions::parallelism` runs N replicas
 // popping one shared inbox (element order across replicas is not
-// preserved); `StageOptions::pool_batch` keeps one runner thread that pops
-// batches and fans each batch out to the scheduler via submit_n with
-// shard-affine routing (PR 6), preserving order.
+// preserved).
 //
 // Error propagation: a throwing stage captures the first error
 // (sched::FirstError), poisons both its channels, and the poison cascades —
@@ -45,7 +41,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -54,8 +49,7 @@
 
 #include "flow/channel.hpp"
 #include "obs/trace.hpp"
-#include "sched/task_graph.hpp"
-#include "sched/thread_pool.hpp"
+#include "sched/completion.hpp"
 #include "support/check.hpp"
 
 namespace parc::flow {
@@ -63,10 +57,8 @@ namespace parc::flow {
 struct PipelineOptions {
   /// Default capacity for every channel without a per-stage override.
   std::size_t capacity = 256;
-  /// Required for pool_batch stages; unused otherwise.
-  sched::WorkStealingPool* pool = nullptr;
-  /// Promise that Pipeline::push/try_push/push_n are called from at most
-  /// one thread at a time — lets a serial first stage get the SPSC ring.
+  /// Promise that Pipeline::push/try_push are called from at most one
+  /// thread at a time — lets a serial first stage get the SPSC ring.
   bool single_producer = false;
 };
 
@@ -76,13 +68,6 @@ struct StageOptions {
   std::size_t parallelism = 1;
   /// This stage's inbox capacity; 0 = the pipeline default.
   std::size_t capacity = 0;
-  /// >0: one runner thread pops batches of this size and fans each batch
-  /// out to the pool (submit_n, shard-affine), pushing results in order.
-  /// The callable must be safe to invoke concurrently (stateless).
-  std::size_t pool_batch = 0;
-  /// Locality domain for pool_batch fan-out; kAnyShard = stage index mod
-  /// the pool's shard count.
-  std::size_t shard = sched::WorkStealingPool::kAnyShard;
   std::string name;
 };
 
@@ -230,9 +215,8 @@ std::shared_ptr<Channel<T>> make_channel(const std::shared_ptr<PipelineCore>& co
   return ch;
 }
 
-/// Launch one materialized stage: `parallelism` replica threads (or one
-/// pool_batch runner per replica) popping `in`, pushing `out`; the last
-/// replica out closes the output.
+/// Launch one materialized stage: `parallelism` replica threads popping
+/// `in`, pushing `out`; the last replica out closes the output.
 template <typename H, typename C>
 void start_stage(PipelineCore* core,
                  std::shared_ptr<Channel<H>> in,
@@ -241,76 +225,22 @@ void start_stage(PipelineCore* core,
                  const StageOptions& o, const std::string& name) {
   const std::size_t par = o.parallelism == 0 ? 1 : o.parallelism;
   auto remaining = std::make_shared<std::atomic<std::size_t>>(par);
-  const std::size_t batch = o.pool_batch;
-  const std::size_t shard_opt = o.shard;
-  const std::size_t stage_index = core->stages.size();
-  if (batch > 0) {
-    PARC_CHECK_MSG(core->opts.pool != nullptr,
-                   "pool_batch stage requires PipelineOptions::pool");
-  }
   for (std::size_t r = 0; r < par; ++r) {
     auto rf = factory();  // private callable state per replica
     std::string label = par > 1 ? name + "-" + std::to_string(r) : name;
-    core->threads.emplace_back([core, in, out, rf = std::move(rf),
-                                remaining, batch, shard_opt, stage_index,
+    core->threads.emplace_back([core, in, out, rf = std::move(rf), remaining,
                                 label = std::move(label)]() mutable {
       obs::label_thread(label);
       bool clean = true;
       try {
-        if (batch == 0) {
-          H item;
-          while (in->pop(item)) {
-            auto res = rf.fn(std::move(item));
-            if (res && !out->push(std::move(*res))) {
-              // Downstream closed under us: stop feeding, stop upstream.
-              in->poison();
-              clean = false;
-              break;
-            }
-          }
-        } else {
-          auto* pool = core->opts.pool;
-          const std::size_t shard =
-              shard_opt != sched::WorkStealingPool::kAnyShard
-                  ? shard_opt % pool->shard_count()
-                  : stage_index % pool->shard_count();
-          std::vector<H> items;
-          items.reserve(batch);
-          while (clean) {
-            items.clear();
-            if (in->pop_n(items, batch) == 0) break;
-            const std::size_t n = items.size();
-            std::vector<std::optional<C>> results(n);
-            sched::JoinLatch join;
-            join.add(n);
-            pool->submit_n(
-                n,
-                [&](std::size_t i) {
-                  return [&rf, &items, &results, &join, core, i] {
-                    try {
-                      results[i] = rf.fn(std::move(items[i]));
-                    } catch (...) {
-                      core->error.capture(std::current_exception());
-                    }
-                    join.done();
-                  };
-                },
-                sched::SubmitHint::remote, shard);
-            // Leaf jobs never touch a channel, so helping here is safe.
-            join.wait(pool);
-            if (core->error.has_error()) {
-              in->poison();
-              out->poison();
-              clean = false;
-              break;
-            }
-            for (auto& res : results) {
-              if (res && !out->push(std::move(*res))) {
-                in->poison();
-                clean = false;
-                break;
-              }
-            }
+        H item;
+        while (in->pop(item)) {
+          auto res = rf.fn(std::move(item));
+          if (res && !out->push(std::move(*res))) {
+            // Downstream closed under us: stop feeding, stop upstream.
+            in->poison();
+            clean = false;
+            break;
           }
         }
         if (clean && rf.flush) {
@@ -384,7 +314,6 @@ class Pipeline {
   /// Blocking feed; false once the pipeline closed/poisoned.
   bool push(In v) { return source_->push(std::move(v)); }
   [[nodiscard]] PushResult try_push(In& v) { return source_->try_push(v); }
-  std::size_t push_n(std::span<In> items) { return source_->push_n(items); }
 
   /// End of input. Cascades stage by stage as each drains.
   void close() { source_->close(); }
@@ -575,7 +504,7 @@ class PipelineBuilder {
     PARC_CHECK(head_ != nullptr);
     ChannelOptions co;
     co.capacity = next_cap != 0 ? next_cap : core_->opts.capacity;
-    // Each replica (or pool_batch runner) is a producer on the out edge.
+    // Each replica is a producer on the out edge.
     co.spsc = par == 1 && next_par == 1;
     co.stripes = co.spsc ? 1
                          : std::min<std::size_t>(

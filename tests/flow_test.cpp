@@ -16,7 +16,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <random>
 #include <string>
@@ -143,24 +142,6 @@ TEST(FlowChannel, PoisonDropsAndCountsBuffered) {
   EXPECT_EQ(s.popped, 0u);
   EXPECT_EQ(s.dropped, 6u);
   expect_conserved(s);
-}
-
-TEST(FlowChannel, PushNAndPopNMoveBatches) {
-  Channel<int> ch(ChannelOptions{.capacity = 32, .spsc = true});
-  std::vector<int> in(20);
-  std::iota(in.begin(), in.end(), 0);
-  EXPECT_EQ(ch.push_n(std::span<int>(in)), 20u);
-  std::vector<int> out;
-  std::size_t total = 0;
-  while (total < 20) {
-    const std::size_t n = ch.pop_n(out, 7);
-    ASSERT_GT(n, 0u);
-    total += n;
-  }
-  ASSERT_EQ(out.size(), 20u);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(out[i], i);
-  ch.close();
-  EXPECT_EQ(ch.pop_n(out, 7), 0u) << "0 means closed-and-drained";
 }
 
 TEST(FlowChannel, TryPopUntilHonorsDeadline) {
@@ -563,22 +544,6 @@ TEST(FlowPipeline, ParallelStageDeliversEveryElement) {
   ASSERT_EQ(ps.stages.size(), 2u);  // transform + collect sink
   EXPECT_EQ(ps.stages[0].parallelism, 4u);
   expect_conserved(ps.stages[0].input);
-}
-
-TEST(FlowPipeline, PoolBatchStagePreservesOrder) {
-  sched::WorkStealingPool pool(sched::WorkStealingPool::Config{4, 4, "flw"});
-  constexpr int kN = 2000;
-  StageOptions batched;
-  batched.pool_batch = 64;
-  auto p = pipeline<int>(PipelineOptions{.pool = &pool})
-               .then(stage([](int x) { return x * x; }, batched))
-               .collect();
-  for (int i = 0; i < kN; ++i) ASSERT_TRUE(p.push(i));
-  const std::vector<int> out = p.wait();
-  ASSERT_EQ(out.size(), static_cast<std::size_t>(kN));
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_EQ(out[i], i * i) << "pool_batch fan-out must preserve order";
-  }
 }
 
 TEST(FlowPipeline, ForEachSinkSeesEveryElement) {

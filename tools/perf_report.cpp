@@ -15,7 +15,9 @@
 // used for fitting. Exit status is non-zero when that error exceeds
 // --max-error (default 0.15), which is what CI gates on.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -64,9 +66,20 @@ std::vector<std::size_t> parse_cores(const char* arg, const char* flag) {
   return cores;
 }
 
+double parse_max_error(const char* arg) {
+  char* end = nullptr;
+  const double v = std::strtod(arg, &end);
+  if (end == arg || *end != '\0' || !std::isfinite(v) || v < 0.0) {
+    std::fprintf(stderr, "perf_report: --max-error wants a non-negative "
+                 "number, got '%s'\n", arg);
+    std::exit(2);
+  }
+  return v;
+}
+
 Options parse_options(int argc, char** argv) {
   Options opts;
-  // Shared spellings first (--trace/--json/--threads strip themselves).
+  // Shared spellings first (--trace/--json strip themselves).
   const bench::Args shared = bench::parse(argc, argv);
   opts.trace_path = shared.trace_path;
   opts.json = shared.json;
@@ -90,7 +103,7 @@ Options parse_options(int argc, char** argv) {
     } else if (std::strcmp(arg, "--holdout") == 0) {
       opts.model.holdout_cores = parse_cores(value("--holdout"), "--holdout");
     } else if (std::strcmp(arg, "--max-error") == 0) {
-      opts.max_error = std::strtod(value("--max-error"), nullptr);
+      opts.max_error = parse_max_error(value("--max-error"));
     } else {
       std::fprintf(stderr,
                    "usage: perf_report --trace <file.json> [--json]\n"
