@@ -25,6 +25,7 @@
 #include "bench_util.hpp"
 #include "obs/trace.hpp"
 #include "pj/parallel.hpp"
+#include "ptask/ptask.hpp"
 #include "sched/chase_lev_deque.hpp"
 #include "sched/completion.hpp"
 #include "sched/mpsc_queue.hpp"
@@ -239,6 +240,61 @@ double measure_external_submit(WorkStealingPool& pool, std::size_t iters) {
   const double ns = sw.elapsed_ns() / static_cast<double>(iters);
   pool.help_while([&] { return ran.load(std::memory_order_relaxed) < iters; });
   return ns;
+}
+
+// --- ptask spawn: one run_after with two pending dependences ---------------
+//
+// What spawning a dependence-graph node costs the spawning thread. Both
+// dependences are held at a gate, so the window covers spawn and edge
+// registration only; the successors are released and run after it. One
+// warm-up round of the same shape fills the frame cache and the workers'
+// cell freelists. The gate: the window allocates no more than the block
+// cache's slack, one partial batch of 64 blocks per thread (ptask_spawn_test
+// asserts the same bound).
+struct SpawnResult {
+  double ns_per_spawn = 0.0;
+  std::uint64_t allocs = 0;
+};
+
+constexpr std::size_t kSpawnWorkers = 3;
+constexpr std::uint64_t kSpawnAllocSlack = 64 * (kSpawnWorkers + 1);
+
+SpawnResult run_after_pending_round(ptask::Runtime& rt, std::size_t spawns) {
+  const std::uint64_t executed0 = rt.pool().stats().executed;
+  std::atomic<bool> gate{false};
+  std::atomic<std::size_t> ran{0};
+  auto gated = [&gate] {
+    while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
+  };
+  auto a = ptask::run(rt, gated);
+  auto b = ptask::run(rt, gated);
+  SpawnResult result;
+  const std::uint64_t allocs_before = t_alloc_count;
+  Stopwatch sw;
+  for (std::size_t i = 0; i < spawns; ++i) {
+    (void)ptask::run_after(
+        rt, [&ran] { ran.fetch_add(1, std::memory_order_release); }, a, b);
+  }
+  result.ns_per_spawn = sw.elapsed_ns() / static_cast<double>(spawns);
+  result.allocs = t_alloc_count - allocs_before;
+  gate.store(true, std::memory_order_release);
+  a.wait();
+  b.wait();
+  while (ran.load(std::memory_order_acquire) < spawns) {
+    std::this_thread::yield();
+  }
+  // A job is counted as executed after its closure, and with it the frame
+  // reference, is gone: the next round finds every frame back in the cache.
+  while (rt.pool().stats().executed - executed0 < spawns + 2) {
+    std::this_thread::yield();
+  }
+  return result;
+}
+
+SpawnResult measure_run_after_pending(std::size_t spawns) {
+  ptask::Runtime rt(ptask::Runtime::Config{kSpawnWorkers, {}});
+  (void)run_after_pending_round(rt, spawns);
+  return run_after_pending_round(rt, spawns);
 }
 
 // --- tracing overhead ------------------------------------------------------
@@ -573,8 +629,9 @@ double measure_core_notify_one(std::size_t iters) {
 
 // Dependency resolution, ns per edge: what each dependsOn edge costs the
 // predecessor at finish time. Seed = mutex-guarded counter decrement; core
-// = DependencyCounter::satisfy (one fetch_sub). The registration hold (+1)
-// keeps the fire out of the measured window on both sides.
+// = DependencyCounter::satisfy (one fetch_sub; true for the last one). The
+// registration hold (+1) keeps the fire out of the measured window on both
+// sides.
 
 // Escape hatch: publishing the state's address to a volatile global means
 // the opaque pthread lock/unlock calls could observe it, so the compiler
@@ -605,13 +662,13 @@ double measure_seed_dependency_edge(std::size_t iters) {
 }
 
 double measure_core_dependency_edge(std::size_t iters) {
-  DependencyCounter deps;
+  DependencyCounter deps(iters + 1);
   std::uint64_t fired = 0;
-  deps.init(iters + 1, [&fired] { ++fired; });
   Stopwatch sw;
-  for (std::size_t i = 0; i < iters; ++i) deps.satisfy();
+  for (std::size_t i = 0; i < iters; ++i) fired += deps.satisfy() ? 1 : 0;
   const double ns = sw.elapsed_ns() / static_cast<double>(iters);
-  deps.satisfy();  // release the registration hold; fires outside the window
+  // Release the registration hold: the last satisfy, outside the window.
+  fired += deps.satisfy() ? 1 : 0;
   PARC_CHECK(fired == 1);
   g_sink = g_sink + fired;
   return ns;
@@ -739,6 +796,22 @@ int main(int argc, char** argv) {
   keeper_flag.store(1);
   keeper_flag.notify_one();
   keeper.join();
+
+  constexpr std::size_t kSpawns = 100000;
+  const SpawnResult spawn = measure_run_after_pending(kSpawns);
+  PARC_CHECK_MSG(spawn.allocs <= kSpawnAllocSlack,
+                 "run_after allocated per spawn on a warm runtime");
+  table.add_row()
+      .cell("ptask run_after, 2 pending deps, ns/spawn")
+      .cell("-")
+      .cell(spawn.ns_per_spawn, 1)
+      .cell("-");
+  table.add_row()
+      .cell("  heap allocs per spawn")
+      .cell("-")
+      .cell(static_cast<double>(spawn.allocs) / static_cast<double>(kSpawns),
+            4)
+      .cell("-");
 
   {
     // One worker: keeps the submit→run cycle on a single deque so the
@@ -956,6 +1029,7 @@ int main(int argc, char** argv) {
         .add("core_notify_one", core_notify)
         .add("seed_dependency_edge", seed_edge)
         .add("core_dependency_edge", core_edge)
+        .add("run_after_pending_spawn", spawn.ns_per_spawn)
         .add("seed_join_wakeup", seed_join_us * 1000.0)
         .add("core_join_wakeup", core_join_us * 1000.0)
         .add("trace_gate_idle", gate_ns)

@@ -43,6 +43,7 @@ TSAN_SUITES=(
   sched_locality_test sched_shard_test
   obs_trace_test obs_roundtrip_test obs_model_test
   ptask_test ptask_multi_test ptask_pipeline_test ptask_graph_test
+  ptask_spawn_test
   pj_sync_test pj_nested_test pj_nested_stress_test pj_places_test
   conc_collections_test conc_tasksafe_test conc_cow_test
   net_test serve_test serve_fault_test flow_test gui_test integration_test

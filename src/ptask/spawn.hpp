@@ -7,17 +7,21 @@
 //   TaskGroup / parallel_invoke       — structured join points
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <exception>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "ptask/block_cache.hpp"
 #include "ptask/task_id.hpp"
 #include "sched/task_graph.hpp"
 
@@ -25,33 +29,28 @@ namespace parc::ptask {
 
 namespace detail {
 
-/// Binds a task body to its state. Returns the lambda itself (not a
-/// std::function): the pool's TaskCell stores small closures inline, so
-/// keeping the concrete type avoids a type-erasure allocation per spawn.
-template <typename R, typename F>
-auto make_job(std::shared_ptr<TaskState<R>> state, F body) {
-  return [state = std::move(state), body = std::move(body)]() mutable {
-    CurrentTask::Scope scope(state.get());
-    // Lifecycle trace events are emitted inside run_body: the finish event
-    // must land before finish() unblocks waiters (see trace_body_finish).
-    state->run_body(body);
-  };
+/// Dependences arrive as raw pointers (run_after) or as shared_ptrs (the
+/// runtime-sized spawn); both spellings share one registration loop.
+inline TaskStateBase* dep_ptr(TaskStateBase* dep) noexcept { return dep; }
+inline TaskStateBase* dep_ptr(
+    const std::shared_ptr<TaskStateBase>& dep) noexcept {
+  return dep.get();
 }
 
 /// Trace a task's creation: a fresh obs id, a spawn event carrying the
 /// spawning task's id (0 at top level), and one dependence edge per dep.
 /// No-op (id stays 0) while no trace session is live.
-inline void trace_spawn(
-    TaskStateBase& state,
-    const std::vector<std::shared_ptr<TaskStateBase>>& deps) {
+template <typename Deps = std::array<TaskStateBase*, 0>>
+void trace_spawn(TaskStateBase& state, const Deps& deps = {}) {
   if (obs::tracing()) [[unlikely]] {
     state.obs_id = obs::next_id();
     const TaskStateBase* parent = CurrentTask::get();
     obs::emit(obs::EventKind::kTaskSpawn, state.obs_id,
               parent != nullptr ? parent->obs_id : 0);
     for (const auto& dep : deps) {
-      if (dep != nullptr && dep->obs_id != 0) {
-        obs::emit(obs::EventKind::kDepEdge, dep->obs_id, state.obs_id);
+      const TaskStateBase* d = dep_ptr(dep);
+      if (d != nullptr && d->obs_id != 0) {
+        obs::emit(obs::EventKind::kDepEdge, d->obs_id, state.obs_id);
       }
     }
   }
@@ -69,50 +68,163 @@ inline std::uint64_t trace_multi_body(const TaskStateBase& agg) {
   return 0;
 }
 
-/// Wire dependences with a +1 registration hold so the task cannot fire
-/// while registration is still in progress.
-inline void wire_dependences(
-    const std::shared_ptr<TaskStateBase>& state,
-    const std::vector<std::shared_ptr<TaskStateBase>>& deps,
-    std::function<void()> submit) {
-  state->init_dependences(deps.size() + 1, std::move(submit));
-  for (const auto& dep : deps) {
-    PARC_CHECK_MSG(dep != nullptr, "dependence on an invalid TaskID");
-    if (!dep->add_dependent(state)) {
-      state->dependence_satisfied();  // dep already finished
+/// One dependence edge, embedded in its successor's frame and registered
+/// on the predecessor's Completion. inline_only: it runs on the completing
+/// thread before the predecessor's completed bit is published. embedded:
+/// the Completion never frees it, and never touches it once run() starts,
+/// since the successor (and with it this edge) may be freed inside run().
+template <typename Frame>
+class DependenceEdge final : public sched::CompletionNode {
+ public:
+  DependenceEdge() noexcept {
+    inline_only = true;
+    embedded = true;
+  }
+  void run() noexcept override { successor->release_dependence(); }
+
+  Frame* successor = nullptr;
+};
+
+/// Everything one spawn needs, in one recycled block (BlockCache): the
+/// task's state, its body, the dependence countdown and one edge per
+/// predecessor (N of them, or a vector beside the frame when N is
+/// std::dynamic_extent). From spawn until its last dependence is released
+/// the frame owns itself through `self_`; the pool job then takes that
+/// reference over, so dropping every TaskID never strands a pending task.
+template <typename R, typename F, std::size_t N>
+class TaskFrame {
+  using Edge = DependenceEdge<TaskFrame>;
+  struct NoEdges {};  // std::array<Edge, 0> still takes a byte, then padding
+  using Edges = std::conditional_t<
+      N == std::dynamic_extent, std::vector<Edge>,
+      std::conditional_t<N == 0, NoEdges, std::array<Edge, N>>>;
+
+ public:
+  template <typename Body>
+  TaskFrame(Body&& body, Runtime& rt, bool interactive, std::size_t deps)
+      : countdown_(deps + 1),  // + the registration hold
+        rt_(&rt),
+        interactive_(interactive),
+        edges_(make_edges(deps)),
+        body_(std::forward<Body>(body)) {
+    for (Edge& e : edges()) e.successor = this;
+  }
+  /// The body is gone by now: run() destroys it right after it ran, and a
+  /// frame dies only after its job has run.
+  ~TaskFrame() {}
+
+  TaskFrame(const TaskFrame&) = delete;
+  TaskFrame& operator=(const TaskFrame&) = delete;
+
+  [[nodiscard]] TaskState<R>& state() noexcept { return state_; }
+
+  /// Spawn-time wiring: keep the frame alive on its own, register one edge
+  /// per dependence (a dependence that already finished is counted here),
+  /// then release the registration hold. The caller already owns a handle.
+  template <typename Deps>
+  void start(std::shared_ptr<TaskFrame> self, const Deps& deps) {
+    self_ = std::move(self);
+    for (std::size_t i = 0; i < std::size(deps); ++i) {
+      TaskStateBase* dep = dep_ptr(deps[i]);
+      PARC_CHECK_MSG(dep != nullptr, "dependence on an invalid TaskID");
+      if (!dep->try_add_edge(edges()[i])) release_dependence();
+    }
+    release_dependence();
+  }
+
+  /// One dependence finished. The caller that releases the last one makes
+  /// the task ready.
+  void release_dependence() {
+    if (countdown_.satisfy()) submit();
+  }
+
+ private:
+  static Edges make_edges(std::size_t deps) {
+    if constexpr (N == std::dynamic_extent) {
+      return Edges(deps);
+    } else {
+      PARC_DCHECK(deps == N);
+      return Edges{};
     }
   }
-  state->dependence_satisfied();  // release the registration hold
-}
 
-template <typename R, typename F>
-TaskID<R> spawn(Runtime& rt, F&& body,
-                std::vector<std::shared_ptr<TaskStateBase>> deps,
-                bool interactive) {
-  auto state = std::make_shared<TaskState<R>>();
-  trace_spawn(*state, deps);
-  auto job = make_job<R>(state, std::forward<F>(body));
+  std::span<Edge> edges() noexcept {
+    if constexpr (N == 0) {
+      return {};
+    } else {
+      return edges_;
+    }
+  }
+
   // A dependent task is released by the thread that satisfied its final
   // dependence — usually the predecessor's worker, whose cache holds the
   // data the successor is about to read: hint `local` so the release lands
   // on that worker's own deque tail (continuation stealing). Fresh spawns
-  // resolve placement at submit time (`auto_`).
-  const auto hint =
-      deps.empty() ? sched::SubmitHint::auto_ : sched::SubmitHint::local;
-  auto submit = [state, job = std::move(job), &rt, interactive,
-                 hint]() mutable {
+  // resolve placement at submit time (`auto_`). Nothing here touches the
+  // frame after the pool has the job: the job may run and free it at once.
+  void submit() {
     if (obs::tracing()) [[unlikely]] {
-      obs::emit(obs::EventKind::kTaskReady, state->obs_id, 0);
+      obs::emit(obs::EventKind::kTaskReady, state_.obs_id, 0);
     }
-    state->mark_scheduled_public();
+    state_.mark_scheduled_public();
+    Runtime& rt = *rt_;
+    const bool interactive = interactive_;
+    const auto hint = edges().empty() ? sched::SubmitHint::auto_
+                                      : sched::SubmitHint::local;
+    auto job = [frame = std::move(self_)] { frame->run(); };
     if (interactive) {
       rt.interactive_pool().submit(std::move(job));
     } else {
       rt.pool().submit(std::move(job), hint);
     }
+  }
+
+  void run() {
+    {
+      CurrentTask::Scope scope(&state_);
+      // Lifecycle trace events are emitted inside run_body: the finish
+      // event must land before finish() unblocks waiters
+      // (see trace_body_finish).
+      state_.run_body(body_);
+    }
+    body_.~F();
+  }
+
+  TaskState<R> state_;
+  sched::DependencyCounter countdown_;
+  Runtime* rt_;
+  bool interactive_;
+  std::shared_ptr<TaskFrame> self_;
+  [[no_unique_address]] Edges edges_;
+  union {
+    F body_;  ///< constructed with the frame, destroyed by run()
   };
-  wire_dependences(state, deps, std::move(submit));
-  return TaskID<R>(std::move(state), &rt);
+};
+
+/// Build the task's frame in one recycled block, hand back its handle, then
+/// wire the dependences: raw pointers from run_after, shared_ptrs from the
+/// runtime-sized spawn below.
+template <typename R, std::size_t N, typename F, typename Deps>
+TaskID<R> spawn_frame(Runtime& rt, F&& body, const Deps& deps,
+                      bool interactive) {
+  using Frame = TaskFrame<R, std::decay_t<F>, N>;
+  auto frame = std::allocate_shared<Frame>(BlockAllocator<Frame>{},
+                                           std::forward<F>(body), rt,
+                                           interactive, std::size(deps));
+  Frame& f = *frame;
+  trace_spawn(f.state(), deps);
+  TaskID<R> id(std::shared_ptr<TaskState<R>>(frame, &f.state()), &rt);
+  f.start(std::move(frame), deps);
+  return id;
+}
+
+/// Spawn with a runtime-sized dependence list (the edges get one vector).
+template <typename R, typename F>
+TaskID<R> spawn(Runtime& rt, F&& body,
+                std::vector<std::shared_ptr<TaskStateBase>> deps,
+                bool interactive) {
+  return spawn_frame<R, std::dynamic_extent>(rt, std::forward<F>(body), deps,
+                                             interactive);
 }
 
 }  // namespace detail
@@ -121,7 +233,9 @@ TaskID<R> spawn(Runtime& rt, F&& body,
 template <typename F>
 auto run(Runtime& rt, F&& body) -> TaskID<std::invoke_result_t<F>> {
   using R = std::invoke_result_t<F>;
-  return detail::spawn<R>(rt, std::forward<F>(body), {}, /*interactive=*/false);
+  return detail::spawn_frame<R, 0>(rt, std::forward<F>(body),
+                                   std::array<TaskStateBase*, 0>{},
+                                   /*interactive=*/false);
 }
 
 /// Spawn a compute task on the global runtime.
@@ -136,9 +250,11 @@ template <typename F, typename... DepTs>
 auto run_after(Runtime& rt, F&& body, const TaskID<DepTs>&... deps)
     -> TaskID<std::invoke_result_t<F>> {
   using R = std::invoke_result_t<F>;
-  std::vector<std::shared_ptr<TaskStateBase>> dep_states{deps.state_base()...};
-  return detail::spawn<R>(rt, std::forward<F>(body), std::move(dep_states),
-                          /*interactive=*/false);
+  const std::array<TaskStateBase*, sizeof...(DepTs)> dep_states{
+      deps.state_base_ptr()...};
+  return detail::spawn_frame<R, sizeof...(DepTs)>(rt, std::forward<F>(body),
+                                                  dep_states,
+                                                  /*interactive=*/false);
 }
 
 template <typename F, typename... DepTs>
@@ -153,7 +269,9 @@ template <typename F>
 auto run_interactive(Runtime& rt, F&& body)
     -> TaskID<std::invoke_result_t<F>> {
   using R = std::invoke_result_t<F>;
-  return detail::spawn<R>(rt, std::forward<F>(body), {}, /*interactive=*/true);
+  return detail::spawn_frame<R, 0>(rt, std::forward<F>(body),
+                                   std::array<TaskStateBase*, 0>{},
+                                   /*interactive=*/true);
 }
 
 template <typename F>
@@ -180,7 +298,7 @@ TaskID<void> run_multi(Runtime& rt, std::size_t n, F&& f) {
   auto shared = std::make_shared<Shared>();
   shared->remaining.store(n);
   shared->body = std::forward<F>(f);
-  detail::trace_spawn(*agg, {});
+  detail::trace_spawn(*agg);
   // One batched submission: n cells enqueued, workers woken once — the
   // wakeup cost of a TASK(n) no longer scales with n.
   rt.pool().submit_n(n, [&shared, &agg](std::size_t i) {
@@ -235,7 +353,7 @@ auto run_multi(Runtime& rt, std::size_t n, F&& f)
   shared->remaining.store(n);
   shared->slots.resize(n);
   shared->body = std::forward<F>(f);
-  detail::trace_spawn(*agg, {});
+  detail::trace_spawn(*agg);
   rt.pool().submit_n(n, [&shared, &agg](std::size_t i) {
     return [shared, agg, i, tid = detail::trace_multi_body(*agg)] {
       if (obs::tracing() && tid != 0) [[unlikely]] {

@@ -127,6 +127,11 @@ class TaskID {
   [[nodiscard]] std::shared_ptr<TaskStateBase> state_base() const {
     return state_;
   }
+  /// The same, borrowed: run_after registers its edges through this
+  /// without copying the handle.
+  [[nodiscard]] TaskStateBase* state_base_ptr() const noexcept {
+    return state_.get();
+  }
   [[nodiscard]] Runtime* runtime() const noexcept { return rt_; }
 
  private:
@@ -211,6 +216,9 @@ class TaskID<void> {
 
   [[nodiscard]] std::shared_ptr<TaskStateBase> state_base() const {
     return state_;
+  }
+  [[nodiscard]] TaskStateBase* state_base_ptr() const noexcept {
+    return state_.get();
   }
   [[nodiscard]] Runtime* runtime() const noexcept { return rt_; }
 

@@ -1,12 +1,13 @@
 // Shared state behind a TaskID: status, result/exception slot, completion
-// continuations, dependence bookkeeping and the cancellation flag.
+// continuations and the cancellation flag. A spawned task's state lives in
+// its task frame (spawn.hpp) beside the body and the dependence countdown.
 //
 // Mirrors the runtime objects that the Java Parallel Task compiler emits for
 // a `TASK` method invocation (Giacaman & Sinnen, IJPP 2013): the handle the
 // caller holds is a thin shared_ptr to this state.
 //
 // Synchronization rides the sched completion core (sched/completion.hpp):
-// continuations and dependents are nodes on the Completion's lock-free
+// continuations and dependence edges are nodes on the Completion's lock-free
 // sealed Treiber stack, and blocking waits park on its futex word — there
 // is no mutex or condition_variable anywhere in a task's lifecycle. The
 // error slot is a plain member: it is written before finish() publishes the
@@ -18,7 +19,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -45,7 +45,7 @@ class TaskCancelled : public std::exception {
   }
 };
 
-class TaskStateBase : public std::enable_shared_from_this<TaskStateBase> {
+class TaskStateBase {
  public:
   virtual ~TaskStateBase() = default;
 
@@ -83,29 +83,14 @@ class TaskStateBase : public std::enable_shared_from_this<TaskStateBase> {
     completion_.add_continuation(std::move(fn));
   }
 
-  /// Register `dependent` to be notified when this task finishes. Returns
-  /// false (and does not register) if this task is already finished.
-  bool add_dependent(std::shared_ptr<TaskStateBase> dependent) {
-    auto* node = sched::make_completion_node(
-        [dep = std::move(dependent)]() noexcept { dep->dependence_satisfied(); });
-    // Dependence countdown edges must run on the completing thread, before
-    // the completed bit is published: wait()-returned implies the successor
-    // was released. The countdown is O(1); only the successor's *body*
-    // travels through the pool (SubmitHint::local in detail::spawn).
-    node->inline_only = true;
-    if (!completion_.try_push(node)) {
-      delete node;  // already finished: the caller counts the dep itself
-      return false;
-    }
-    return true;
+  /// Register a successor's dependence edge (an embedded, inline_only
+  /// node) to run on the completing thread before the completed bit is
+  /// published: wait()-returned implies the successor was released. Returns
+  /// false, without registering, if this task has already finished.
+  [[nodiscard]] bool try_add_edge(sched::CompletionNode& edge) noexcept {
+    PARC_DCHECK(edge.inline_only && edge.embedded);
+    return completion_.try_push(&edge);
   }
-
-  /// Dependence countdown; when it reaches zero the scheduler closure runs.
-  void init_dependences(std::size_t count, std::function<void()> on_ready) {
-    deps_.init(count, std::move(on_ready));
-  }
-
-  void dependence_satisfied() { deps_.satisfy(); }
 
   /// Blocking wait for completion from a non-pool thread: spins briefly,
   /// then parks on the completion's futex word (no mutex/cv).
@@ -171,12 +156,8 @@ class TaskStateBase : public std::enable_shared_from_this<TaskStateBase> {
   std::atomic<TaskStatus> status_{TaskStatus::kCreated};
   std::atomic<bool> cancel_requested_{false};
   std::atomic<bool> started_{false};
-  sched::DependencyCounter deps_;
   sched::Completion completion_;
   std::exception_ptr error_;  ///< written in finish() before publication
-
-  template <typename>
-  friend class TaskBody;
 };
 
 /// Typed result slot + body execution glue.

@@ -13,8 +13,8 @@
 //    waits is one RMW and no syscall;
 //  - FirstError: first-exception capture via one atomic<exception_ptr*>
 //    CAS — the winner's exception survives, losers delete theirs;
-//  - DependencyCounter: atomic countdown for `dependsOn` edges, firing a
-//    ready closure when the last dependence is satisfied;
+//  - DependencyCounter: atomic countdown for `dependsOn` edges; the caller
+//    that releases the last dependence is told so and readies the task;
 //  - Sequencer: ticket-ordered hand-off (OpenMP `ordered`) on one atomic
 //    ticket word with spin-then-park waiting.
 //
@@ -42,7 +42,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
+#include <type_traits>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -51,9 +51,11 @@
 
 namespace parc::sched {
 
-/// Intrusive node of a Completion's continuation list. Allocated by the
-/// registering side, freed by whoever runs it (the completer, or the
-/// registering side itself when the completion already fired).
+/// Intrusive node of a Completion's continuation list. A heap node is
+/// allocated by the registering side and freed by whoever runs it (the
+/// completer, or the registering side itself when the completion already
+/// fired). An `embedded` node lives inside another object and is never
+/// freed by a Completion.
 class CompletionNode {
  public:
   virtual ~CompletionNode() = default;
@@ -69,6 +71,10 @@ class CompletionNode {
   /// other code relies on. Never deferred through the continuation hand-off
   /// below; user-facing handlers leave this false.
   bool inline_only = false;
+  /// A member of another object (a task frame's dependence edge), not a
+  /// heap allocation: the completion neither frees it nor touches it once
+  /// run() has been called, because run() may free the object around it.
+  bool embedded = false;
 };
 
 namespace detail {
@@ -121,10 +127,11 @@ template <typename F>
 /// Run one ready continuation node under the trampolining policy: inside
 /// the per-thread depth budget (or for inline_only nodes) run it here, past
 /// the budget hand it to the scheduler hook, which re-enters this function
-/// from a fresh pool-job stack frame at depth 0. Frees the node after the
-/// run; the hook takes ownership when it accepts.
+/// from a fresh pool-job stack frame at depth 0. Frees a heap node after
+/// the run; the hook takes ownership when it accepts.
 inline void run_continuation_node(CompletionNode* node,
                                   std::uint64_t trace_id) noexcept {
+  const bool embedded = node->embedded;  // *node may be gone after run()
   if (!node->inline_only &&
       detail::t_continuation_depth >= detail::kContinuationDepthBudget)
       [[unlikely]] {
@@ -138,7 +145,7 @@ inline void run_continuation_node(CompletionNode* node,
   ++detail::t_continuation_depth;
   node->run();
   --detail::t_continuation_depth;
-  delete node;
+  if (!embedded) delete node;
 }
 
 /// One-shot completion event: sealed continuation stack + parking word.
@@ -149,12 +156,12 @@ class Completion {
   Completion& operator=(const Completion&) = delete;
 
   ~Completion() {
-    // A never-completed completion (task dropped before its dependences
-    // fired) still owns its registered-but-unrun nodes.
+    // A never-completed completion still owns its registered-but-unrun
+    // heap nodes; embedded ones belong to the object around them.
     CompletionNode* n = head_.load(std::memory_order_relaxed);
     while (n != nullptr && n != sealed()) {
       CompletionNode* next = n->next;
-      delete n;
+      if (!n->embedded) delete n;
       n = next;
     }
   }
@@ -309,26 +316,22 @@ class FirstError {
   std::atomic<std::exception_ptr*> slot_{nullptr};
 };
 
-/// Atomic dependence countdown: `on_ready` fires exactly once, on the
-/// thread that satisfies the final dependence (or inline from init when the
-/// count is zero). Callers use the +1 registration-hold idiom: init with
-/// deps + 1, register against each dependence, then satisfy the hold — the
-/// closure cannot fire mid-registration.
+/// Atomic dependence countdown. Callers use the +1 registration-hold idiom:
+/// start at deps + 1, register against each dependence, then satisfy the
+/// hold — the count cannot reach zero mid-registration. satisfy() returns
+/// true to exactly one caller, the one that released the last dependence;
+/// that caller readies the dependent task.
 class DependencyCounter {
  public:
-  DependencyCounter() = default;
+  explicit DependencyCounter(std::size_t count) noexcept : remaining_(count) {}
   DependencyCounter(const DependencyCounter&) = delete;
   DependencyCounter& operator=(const DependencyCounter&) = delete;
 
-  void init(std::size_t count, std::function<void()> on_ready) {
-    PARC_CHECK(on_ready != nullptr);
-    on_ready_ = std::move(on_ready);
-    remaining_.store(count, std::memory_order_release);
-    if (count == 0) fire();
-  }
-
-  void satisfy() {
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) fire();
+  [[nodiscard]] bool satisfy() noexcept {
+    const std::size_t before =
+        remaining_.fetch_sub(1, std::memory_order_acq_rel);
+    PARC_DCHECK(before != 0);
+    return before == 1;
   }
 
   [[nodiscard]] std::size_t remaining() const noexcept {
@@ -336,16 +339,7 @@ class DependencyCounter {
   }
 
  private:
-  void fire() {
-    // Moving out prevents a double fire and drops the closure's captures.
-    std::function<void()> ready;
-    ready.swap(on_ready_);
-    PARC_CHECK_MSG(ready != nullptr, "dependence countdown fired twice");
-    ready();
-  }
-
-  std::atomic<std::size_t> remaining_{0};
-  std::function<void()> on_ready_;
+  std::atomic<std::size_t> remaining_;
 };
 
 /// Ticket-ordered hand-off: OpenMP `ordered` semantics on one atomic word.

@@ -45,6 +45,14 @@ bool hand_off_continuation(CompletionNode* node,
   return true;
 }
 
+// Bump a per-worker stat counter. Only the owning worker writes it, so a
+// relaxed load plus store replaces the locked RMW; stats() readers still
+// read it atomically from any thread.
+void bump(std::atomic<std::uint64_t>& counter) noexcept {
+  counter.store(counter.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+}
+
 // Stable per-thread default shard for unbound external submitters: keeping
 // one thread's stream in one domain preserves FIFO-ish ordering and
 // locality; thieves rebalance if it skews. Computed once per thread.
@@ -255,7 +263,7 @@ std::size_t WorkStealingPool::enqueue_cell(TaskCell* cell, SubmitHint hint,
       // to injection so ready work stays visible to thieves (and external
       // helpers) that probe the MPSC queue before stealing.
       if (w.deque.size_approx() >= cfg_.local_queue_soft_cap) [[unlikely]] {
-        w.overflowed.fetch_add(1, std::memory_order_relaxed);
+        bump(w.overflowed);
         if (obs::tracing()) [[unlikely]] {
           obs::emit(obs::EventKind::kDequeOverflow, cell->trace_id,
                     static_cast<std::uint64_t>(t_worker));
@@ -263,7 +271,7 @@ std::size_t WorkStealingPool::enqueue_cell(TaskCell* cell, SubmitHint hint,
         push_injected(cell, w.shard);
         return w.shard;
       }
-      w.cont_local.fetch_add(1, std::memory_order_relaxed);
+      bump(w.cont_local);
       if (obs::tracing()) [[unlikely]] {
         obs::emit(obs::EventKind::kContLocalPush, cell->trace_id, 0);
       }
@@ -433,7 +441,7 @@ TaskCell* WorkStealingPool::steal_remote_shards(std::size_t self) {
     for (std::size_t j = 0; j < s.num_workers; ++j) {
       const std::size_t v = s.first_worker + j;
       if (TaskCell* cell = workers_[v]->deque.steal()) {
-        w.stolen_cross.fetch_add(1, std::memory_order_relaxed);
+        bump(w.stolen_cross);
         if (obs::tracing()) [[unlikely]] {
           obs::emit(obs::EventKind::kStealRemote, cell->trace_id,
                     static_cast<std::uint64_t>(v));
@@ -469,11 +477,11 @@ TaskCell* WorkStealingPool::find_job(std::size_t self_or_npos) {
     if (TaskCell* cell = w.deque.pop()) return cell;
     if (TaskCell* cell = pop_injected(w.shard)) return cell;
     if (TaskCell* cell = steal_within_shard(self_or_npos, w.rng)) {
-      w.stolen.fetch_add(1, std::memory_order_relaxed);
+      bump(w.stolen);
       return cell;
     }
     if (shards_.size() > 1) {
-      w.cross_probes.fetch_add(1, std::memory_order_relaxed);
+      bump(w.cross_probes);
       // Deque raids are counted as stolen_cross inside the remote sweep;
       // remote injection pops are ordinary queue takes, not steals.
       if (TaskCell* cell = steal_remote_shards(self_or_npos)) return cell;
@@ -537,13 +545,13 @@ void WorkStealingPool::worker_loop(std::size_t index) {
          ++sweep) {
       cell = find_worker_job(index);
       if (!cell) {
-        self.steal_fails.fetch_add(1, std::memory_order_relaxed);
+        bump(self.steal_fails);
         if (sweep + 1 < cfg_.sweeps_before_park) std::this_thread::yield();
       }
     }
     if (cell) {
       run_cell(cell);
-      self.executed.fetch_add(1, std::memory_order_relaxed);
+      bump(self.executed);
       continue;
     }
     // Park protocol: snapshot every shard's epoch, then re-scan once. A
@@ -556,7 +564,7 @@ void WorkStealingPool::worker_loop(std::size_t index) {
     }
     if (TaskCell* late = find_worker_job(index)) {
       run_cell(late);
-      self.executed.fetch_add(1, std::memory_order_relaxed);
+      bump(self.executed);
       continue;
     }
     // Exclusive jobs have no help_while rescue path (only top-level worker
@@ -573,7 +581,7 @@ void WorkStealingPool::worker_loop(std::size_t index) {
     }
     std::unique_lock lock(home.park_mutex);
     home.sleepers.fetch_add(1, std::memory_order_seq_cst);
-    self.parked.fetch_add(1, std::memory_order_relaxed);
+    bump(self.parked);
     home.park_cv.wait(lock, [&] {
       if (stop_.load(std::memory_order_acquire)) return true;
       for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -602,7 +610,7 @@ bool WorkStealingPool::try_run_one() {
   if (!cell) return false;
   run_cell(cell);
   if (self != static_cast<std::size_t>(-1)) {
-    workers_[self]->executed.fetch_add(1, std::memory_order_relaxed);
+    bump(workers_[self]->executed);
   }
   return true;
 }

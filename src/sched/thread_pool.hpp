@@ -388,8 +388,9 @@ class WorkStealingPool {
     ChaseLevDeque<TaskCell> deque;
     Rng rng;
     std::uint32_t shard = 0;  ///< home shard index (set once at pool start)
-    // Stat counters are written by the owning worker and read by stats()
-    // from arbitrary threads: relaxed atomics (counts, not synchronisation).
+    // Stat counters are written only by the owning worker (a relaxed load
+    // plus store, no locked RMW) and read by stats() from arbitrary
+    // threads: relaxed atomics (counts, not synchronisation).
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> stolen{0};
     std::atomic<std::uint64_t> stolen_cross{0};  ///< victim in another shard

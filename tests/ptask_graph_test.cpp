@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -148,6 +149,57 @@ TEST(DependenceGraph, WideFanInReleasesOnce) {
   sink.get();
   EXPECT_EQ(runs.load(), 1);
   for (auto& s : sources) EXPECT_TRUE(s.ready());
+}
+
+// Task frames own themselves until they are submitted: a chain whose
+// handles are dropped as soon as they are spawned still runs every body, in
+// order, and frees every frame (the ASan pass's leak check sees a leaked
+// frame).
+TEST(FrameLifetime, GatedChainWithDroppedHandlesRunsInOrder) {
+  constexpr std::size_t kDepth = 10000;
+  std::atomic<bool> gate{false};
+  std::atomic<std::size_t> next_expected{0};
+  std::atomic<bool> order_ok{true};
+  TaskID<void> prev = run(test_runtime(), [&gate] {
+    while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
+  });
+  for (std::size_t i = 0; i < kDepth; ++i) {
+    prev = run_after(
+        test_runtime(),
+        [&, i] {
+          if (next_expected.fetch_add(1) != i) order_ok.store(false);
+        },
+        prev);
+  }
+  gate.store(true, std::memory_order_release);
+  prev.get();
+  EXPECT_TRUE(order_ok.load());
+  EXPECT_EQ(next_expected.load(), kDepth);
+}
+
+// A completing task runs its successors' edges and never touches an edge
+// after running it: each successor may run, finish and free its frame (and
+// the edge inside it) before the predecessor's completion moves on.
+TEST(FrameLifetime, FanOutWithDroppedHandlesRunsEverySuccessorOnce) {
+  constexpr std::size_t kWidth = 1000;
+  std::atomic<bool> gate{false};
+  std::vector<std::atomic<int>> runs(kWidth);
+  auto pred = run(test_runtime(), [&gate] {
+    while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
+  });
+  for (std::size_t i = 0; i < kWidth; ++i) {
+    (void)run_after(test_runtime(), [&runs, i] { runs[i].fetch_add(1); },
+                    pred);
+  }
+  gate.store(true, std::memory_order_release);
+  pred.get();  // every successor is released before pred's wait returns
+  std::size_t done = 0;
+  while (done < kWidth) {
+    done = 0;
+    for (const auto& r : runs) done += r.load() > 0 ? 1 : 0;
+    std::this_thread::yield();
+  }
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
 }
 
 }  // namespace

@@ -67,6 +67,46 @@ TEST(Completion, TryPushFailsAfterComplete) {
   delete node;
 }
 
+// A node embedded in an object that run() frees: complete() must neither
+// delete it nor read it after run() (the ASan pass reports either).
+struct SelfFreeingOwner {
+  struct Node final : CompletionNode {
+    SelfFreeingOwner* owner = nullptr;
+    void run() noexcept override {
+      ++*owner->runs;
+      delete owner;
+    }
+  };
+  explicit SelfFreeingOwner(int* r) : runs(r) {
+    node.owner = this;
+    node.inline_only = true;
+    node.embedded = true;
+  }
+  int* runs;
+  Node node;
+};
+
+TEST(Completion, EmbeddedNodeIsNotTouchedAfterRun) {
+  int runs = 0;
+  Completion c;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(c.try_push(&(new SelfFreeingOwner(&runs))->node));
+  }
+  c.complete();
+  EXPECT_EQ(runs, 3);
+}
+
+TEST(Completion, DestructorLeavesEmbeddedNodesToTheirOwner) {
+  int runs = 0;
+  auto* owner = new SelfFreeingOwner(&runs);
+  {
+    Completion c;
+    ASSERT_TRUE(c.try_push(&owner->node));
+  }
+  EXPECT_EQ(runs, 0);
+  delete owner;  // still whole: the destroyed completion did not free it
+}
+
 TEST(Completion, DestructorFreesUnfiredContinuations) {
   // A never-completed completion must not leak its registered nodes (ASan
   // tier-1 checks the delete actually happens).
@@ -227,44 +267,34 @@ TEST(FirstErrorStress, ConcurrentCapturesKeepExactlyOne) {
 }
 
 TEST(DependencyCounter, ZeroCountFiresFromInit) {
-  DependencyCounter d;
-  bool fired = false;
-  d.init(0, [&fired] { fired = true; });
-  EXPECT_TRUE(fired);
+  // A count of zero is ready as constructed: no satisfy() is owed.
+  DependencyCounter d(0);
+  EXPECT_EQ(d.remaining(), 0u);
 }
 
 TEST(DependencyCounter, FiresOnLastSatisfy) {
-  DependencyCounter d;
-  int fired = 0;
-  d.init(3, [&fired] { ++fired; });
-  d.satisfy();
-  d.satisfy();
-  EXPECT_EQ(fired, 0);
-  d.satisfy();
-  EXPECT_EQ(fired, 1);
+  DependencyCounter d(3);
+  EXPECT_FALSE(d.satisfy());
+  EXPECT_FALSE(d.satisfy());
+  EXPECT_EQ(d.remaining(), 1u);
+  EXPECT_TRUE(d.satisfy());
+  EXPECT_EQ(d.remaining(), 0u);
 }
 
 TEST(DependencyCounter, RegistrationHoldPreventsEarlyFire) {
-  // The spawn idiom: init with deps + 1, then release the hold last.
-  DependencyCounter d;
-  bool fired = false;
-  d.init(2 + 1, [&fired] { fired = true; });
-  d.satisfy();  // dep 1
-  d.satisfy();  // dep 2
-  EXPECT_FALSE(fired);
-  d.satisfy();  // registration hold
-  EXPECT_TRUE(fired);
+  // The spawn idiom: start at deps + 1, then release the hold last.
+  DependencyCounter d(2 + 1);
+  EXPECT_FALSE(d.satisfy());  // dep 1
+  EXPECT_FALSE(d.satisfy());  // dep 2
+  EXPECT_TRUE(d.satisfy());   // registration hold
 }
 
 TEST(DependencyCounterStress, ConcurrentSatisfyFiresExactlyOnce) {
   constexpr int kThreads = 8;
   constexpr int kRounds = 100;
   for (int round = 0; round < kRounds; ++round) {
-    DependencyCounter d;
+    DependencyCounter d(kThreads);
     std::atomic<int> fired{0};
-    d.init(kThreads, [&fired] {
-      fired.fetch_add(1, std::memory_order_relaxed);
-    });
     std::atomic<bool> go{false};
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
@@ -272,7 +302,7 @@ TEST(DependencyCounterStress, ConcurrentSatisfyFiresExactlyOnce) {
       threads.emplace_back([&] {
         while (!go.load(std::memory_order_acquire)) {
         }
-        d.satisfy();
+        if (d.satisfy()) fired.fetch_add(1, std::memory_order_relaxed);
       });
     }
     go.store(true, std::memory_order_release);
